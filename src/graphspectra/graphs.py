@@ -44,6 +44,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must be {self.n}x{self.n}, got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be exactly symmetric")
         if self.n and np.any(np.diag(w) != 0.0):

@@ -7,8 +7,8 @@ symmetric form D^{-1/2}(D - A)D^{-1/2}, which is what we actually
 decompose; everything downstream works on eigenvalues, and clustering
 recovers the random-walk eigenvectors from the symmetric ones.
 
-Eigendecomposition uses cyclic Jacobi rotations: deterministic, exact
-symmetry in, orthonormal vectors out, entirely adequate at desk scale.
+Eigendecomposition uses LAPACK ``eigh`` on the exactly symmetric matrix;
+every result is checked for residual and orthonormality before use.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ import numpy as np
 
 from .graphs import DEGREE_TOL, Graph, degree_summary
 
-JACOBI_MAX_SWEEPS = 100
-# Convergence: off-diagonal Frobenius norm <= this times the full Frobenius norm.
-JACOBI_OFF_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
 # |eigenvalue| below this counts as zero (e.g. Laplacian null space).
@@ -40,7 +37,7 @@ class UndefinedRepresentationError(ValueError):
 
 
 class EigensolverError(RuntimeError):
-    """Jacobi iteration failed to converge or produced an invalid decomposition."""
+    """LAPACK ``eigh`` failed or produced a decomposition that fails validation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,80 +101,23 @@ def build_matrix(g: Graph, kind: RepresentationKind) -> RepMatrix:
     raise ValueError(f"unknown representation kind {kind!r}")
 
 
-def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """Cyclic Jacobi sweeps; returns (diagonal, rotations, off_norm, converged)."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), v, 0.0, True
-    threshold = JACOBI_OFF_TOL * np.linalg.norm(a)
-    off = _off_norm(a)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off <= threshold:
-            return np.diag(a).copy(), v, off, True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) + 100.0 * abs(apq) == abs(h):
-                    # pivot negligible against the diagonal gap; the exact
-                    # tangent would overflow, its limit is apq/h
-                    t = apq / h
-                else:
-                    theta = 0.5 * h / apq
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-        off = _off_norm(a)
-    return np.diag(a).copy(), v, off, off <= threshold
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # Summed directly over the off-diagonal entries: subtracting the diagonal
-    # from the full Frobenius norm would cancel catastrophically near zero.
-    off = np.array(a)
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def eig_sym(m: np.ndarray, label: str = "matrix") -> EigenPairs:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
 
-    Values come back ascending; ties keep the rotation-order index, so
-    the output is deterministic for identical input. Raises
-    :class:`EigensolverError` if the sweep cap is hit or the residual /
-    orthonormality checks fail.
+    Values come back ascending. Raises :class:`EigensolverError` if LAPACK
+    fails or the residual / orthonormality checks fail.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{label}: expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{label}: matrix has non-finite entries")
     if not np.array_equal(m, m.T):
         raise ValueError(f"{label}: matrix is not symmetric")
-    diag, vecs, off, converged = _jacobi(m)
-    if not converged:
-        raise EigensolverError(
-            f"{label}: Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {off:.3e})"
-        )
-    n = m.shape[0]
-    order = np.lexsort((np.arange(n), diag))
-    values = diag[order]
-    vectors = vecs[:, order]
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"{label}: LAPACK eigh failed ({exc})") from exc
     _validate_pairs(m, values, vectors, label)
     return EigenPairs(values=values, vectors=vectors)
 
@@ -188,11 +128,11 @@ def _validate_pairs(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, labe
         return
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
     allowed = RESIDUAL_TOL * np.maximum(1.0, np.abs(values))
-    if np.any(residuals > allowed):
+    if not np.all(residuals <= allowed):
         worst = float((residuals - allowed).max())
         raise EigensolverError(f"{label}: eigenpair residual exceeds tolerance by {worst:.3e}")
     gram_defect = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
-    if gram_defect > ORTHONORMALITY_TOL:
+    if not gram_defect <= ORTHONORMALITY_TOL:
         raise EigensolverError(f"{label}: eigenvectors not orthonormal (defect {gram_defect:.3e})")
 
 

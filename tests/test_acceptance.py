@@ -172,7 +172,7 @@ class TestAcceptance:
         # the figure reads f2(lambda_34) - eta_34, the negated delta
         assert -llrw.deltas[-1] == pytest.approx(1.67, abs=0.01)
 
-    @criterion("07 hand-derived oracle spectra match the Jacobi output")
+    @criterion("07 hand-derived oracle spectra match the computed spectra")
     def test_oracle_spectra(self, graph_c18):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0

@@ -1,10 +1,15 @@
 """Command-line surface: output formats, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphspectra
 from graphspectra import load_edge_list
 from graphspectra.cli import main
 from graphspectra.data import karate_factions_path, karate_net_path
@@ -154,6 +159,22 @@ class TestCluster:
                        "--truth", str(karate_factions_path()))
         assert out["comparison"]["misplaced"] == 1
         assert out["comparison"]["misplaced_ids"] == [3]
+
+    def test_same_output_at_any_blas_thread_count(self, capsys, tmp_path):
+        """C(18) with k = 2 takes one vector from a 9-fold eigenspace, so its
+        labels depend on the exact basis the solver returns."""
+        graph_file = tmp_path / "c18.txt"
+        run(capsys, "gen", "graphc", "18", "-o", str(graph_file))
+        src = str(Path(graphspectra.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphspectra", "cluster", str(graph_file),
+                 "--kind", "A", "--k", "2"],
+                capture_output=True, env=env, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestCrossoverPolymapWeyl:

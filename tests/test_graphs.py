@@ -38,6 +38,13 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="symmetric"):
             Graph(n=2, weights=w)
 
+    def test_rejects_non_finite_weights(self):
+        for bad in (np.nan, np.inf):
+            w = np.zeros((2, 2))
+            w[0, 1] = w[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Graph(n=2, weights=w)
+
     def test_rejects_self_loops(self):
         w = np.eye(2)
         with pytest.raises(ValueError, match="diagonal"):

@@ -1,4 +1,4 @@
-"""Representation matrices and Jacobi spectra.
+"""Representation matrices and their LAPACK eigh spectra.
 
 Ground truth, all derivable by hand:
 - A(K3): characteristic polynomial (mu - 2)(mu + 1)^2 -> {2, -1, -1}
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from graphspectra import (
+    EigensolverError,
     Graph,
     RepresentationKind,
     UndefinedRepresentationError,
@@ -28,7 +29,7 @@ from graphspectra import (
     spectral_support,
     spectrum,
 )
-from graphspectra.spectra import ZERO_EIGENVALUE_TOL
+from graphspectra.spectra import ZERO_EIGENVALUE_TOL, _validate_pairs
 
 A = RepresentationKind.ADJACENCY
 L = RepresentationKind.LAPLACIAN
@@ -118,6 +119,15 @@ class TestEigSym:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite_before_symmetry(self):
+        for m in ([[1.0, np.inf], [np.inf, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="testmat: matrix has non-finite entries"):
+                eig_sym(np.array(m), label="testmat")
+
+    def test_validation_fails_closed_on_nan(self):
+        with pytest.raises(EigensolverError, match="residual"):
+            _validate_pairs(np.eye(2), np.array([np.nan, 1.0]), np.eye(2), "testmat")
 
     def test_label_in_error(self):
         with pytest.raises(ValueError, match="testmat"):
