@@ -165,10 +165,11 @@ class PolyMapReport:
     numerically degenerate: ``unstable`` is set and no coefficients are
     produced. Otherwise ``nodes``/``coefficients`` hold the Newton form
     of the interpolant built on de-duplicated source nodes.
+    ``min_input_gap`` is None when the spectrum has fewer than two values.
     """
 
     unstable: bool
-    min_input_gap: float
+    min_input_gap: Optional[float]
     output_span_over_degenerate_inputs: float
     nodes: Optional[np.ndarray]
     coefficients: Optional[np.ndarray]
@@ -336,8 +337,8 @@ def detect_maximal_crossover(
     bound - tol with opposite signs. A zero bound yields an empty report
     (the condition is vacuous for regular graphs).
     """
-    if tol <= 0:
-        raise ValueError("crossover tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"crossover tolerance must be finite and positive, got {tol}")
     diffs = np.asarray(diffs, dtype=float)
     indices: list[int] = []
     if bound > 0.0:
@@ -456,6 +457,8 @@ def polynomial_spectrum_map(
     cluster's target values span more than ``merge_tol`` the map is
     numerically degenerate and reported unstable instead of fitted.
     """
+    if not (np.isfinite(merge_tol) and merge_tol >= 0):
+        raise ValueError(f"merge tolerance must be finite and non-negative, got {merge_tol}")
     if src.n != dst.n:
         raise ValueError("spectra must have equal length")
     if src.n == 0:
@@ -464,7 +467,7 @@ def polynomial_spectrum_map(
     x = src.values[order]
     y = dst.values[order]
     input_gaps = np.diff(x)
-    min_input_gap = float(input_gaps.min()) if len(input_gaps) else float("inf")
+    min_input_gap = float(input_gaps.min()) if len(input_gaps) else None
 
     clusters: list[tuple[int, int]] = []  # [start, end) over the sorted arrays
     start = 0

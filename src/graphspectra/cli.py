@@ -85,7 +85,7 @@ def _jsonable(obj):
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, default=_jsonable))
+    print(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
 
 
 def _round2(fr: Fraction) -> str:
@@ -561,7 +561,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, EigensolverError) as exc:
+    except (ValueError, OSError, EigensolverError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graphs import Graph, degree_summary
 from .spectra import RepresentationKind, eigensystem
@@ -163,6 +162,10 @@ def compare_clusterings(a: ClusteringResult, b: ClusteringResult) -> ClusterComp
     assignment, exact). Misplaced vertex ids are reported in the results'
     index base.
     """
+    # Imported here, not at module level: scipy.optimize costs several times
+    # the rest of the package's import, and only this function needs it.
+    from scipy.optimize import linear_sum_assignment
+
     if len(a.labels) != len(b.labels):
         raise ValueError("clusterings cover different numbers of vertices")
     if a.index_base != b.index_base:

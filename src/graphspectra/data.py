@@ -26,6 +26,13 @@ def karate_graph() -> Graph:
     return load_pajek(karate_net_path().read_text())
 
 
+def _parse_truth_int(token: str, what: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"truth file line {lineno}: non-numeric {what} {token!r}") from None
+
+
 def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResult:
     """Parse a ground-truth label file: one ``vertex_id label`` pair per line, 1-based.
 
@@ -40,7 +47,8 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
         tokens = line.split()
         if len(tokens) != 2:
             raise ValueError(f"truth file line {lineno}: expected 'vertex_id label'")
-        vid, label = int(tokens[0]), int(tokens[1])
+        vid = _parse_truth_int(tokens[0], "vertex id", lineno)
+        label = _parse_truth_int(tokens[1], "label", lineno)
         if not 1 <= vid <= n:
             raise ValueError(f"truth file line {lineno}: vertex id {vid} out of range")
         if label < 0:

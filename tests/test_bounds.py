@@ -287,6 +287,12 @@ class TestCrossoverDetection:
         assert 1 not in detect_maximal_crossover(d.deltas, d.bound, tol=0.5).indices
         assert 1 not in detect_maximal_crossover(d.deltas, d.bound, tol=1e-6).indices
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, graph_c18, tol):
+        d = pair_differences(MatrixPair.A_L, graph_c18)
+        with pytest.raises(ValueError, match="finite and positive"):
+            detect_maximal_crossover(d.deltas, d.bound, tol=tol)
+
     def test_requires_opposite_signs(self):
         report = detect_maximal_crossover(np.array([1.0, 1.0, -1.0]), 1.0, tol=1e-9)
         assert report.indices == (2,)
@@ -394,6 +400,18 @@ class TestPolynomialSpectrumMap:
         xs = np.array([0.25, 2.0])
         np.testing.assert_allclose(newton_eval(report.nodes, report.coefficients, xs), xs,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("merge_tol", [float("nan"), float("inf"), -1.0])
+    def test_merge_tolerance_must_be_finite_and_non_negative(self, graph_c18, merge_tol):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            polynomial_spectrum_map(spectrum(graph_c18, A), spectrum(graph_c18, L),
+                                    merge_tol=merge_tol)
+
+    def test_single_value_has_no_input_gap(self):
+        s = spectrum(Graph(n=1, weights=np.zeros((1, 1))), L)
+        report = polynomial_spectrum_map(s, s)
+        assert report.min_input_gap is None
+        assert not report.unstable
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):

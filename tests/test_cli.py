@@ -177,6 +177,25 @@ class TestCluster:
         assert outputs[0] == outputs[1]
 
 
+class TestImportCost:
+    def test_info_and_bounds_do_not_load_scipy(self):
+        """scipy is loaded only where two clusterings are compared."""
+        src = str(Path(graphspectra.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "import graphspectra\n"
+            "import graphspectra.cli\n"
+            f"assert graphspectra.cli.main(['info', {KARATE!r}]) == 0\n"
+            f"assert graphspectra.cli.main(['bounds', {KARATE!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestCrossoverPolymapWeyl:
     def test_crossover_graph_c(self, capsys, tmp_path):
         graph_file = tmp_path / "c18.txt"
@@ -189,6 +208,31 @@ class TestCrossoverPolymapWeyl:
         assert out["unstable"] is True
         assert out["min_input_gap"] < 1e-12
         assert out["output_span_over_degenerate_inputs"] > 2.0
+
+    @pytest.mark.parametrize("argv", [
+        ("crossover", "--pair", "A_L", "--tol", "nan"),
+        ("polymap", "--pair", "A_L", "--merge-tol", "nan"),
+    ])
+    def test_non_finite_tolerance_is_domain_error(self, capsys, tmp_path, argv):
+        graph_file = tmp_path / "c18.txt"
+        run(capsys, "gen", "graphc", "18", "-o", str(graph_file))
+        code, out, err = run(capsys, argv[0], str(graph_file), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "tolerance must be finite" in err
+
+    def test_polymap_single_vertex_is_strict_json(self, capsys, tmp_path):
+        graph_file = tmp_path / "one.txt"
+        graph_file.write_text("nodes 1\n")
+        code, out, err = run(capsys, "polymap", str(graph_file), "--pair", "A_L")
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        parsed = json.loads(out, parse_constant=reject)
+        assert parsed["min_input_gap"] is None
+        assert parsed["unstable"] is False
 
     def test_weyl_karate(self, capsys):
         out = run_json(capsys, "weyl", KARATE)
@@ -253,6 +297,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "info", "no-such-file.txt")
         assert code == 1
         assert "error" in err
+
+    def test_unallocatable_graph_is_domain_error(self, capsys, tmp_path):
+        """numpy refuses a 71 PiB request up front, before touching memory."""
+        graph_file = tmp_path / "huge.txt"
+        graph_file.write_text("nodes 100000000\n")
+        code, out, err = run(capsys, "info", str(graph_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_non_numeric_truth_label_names_the_line(self, capsys, tmp_path):
+        truth_file = tmp_path / "truth.txt"
+        truth_file.write_text("# vertex label\n1 a\n")
+        code, _, err = run(capsys, "cluster", KARATE, "--kind", "A", "--k", "2",
+                           "--truth", str(truth_file))
+        assert code == 1
+        assert err == "error: truth file line 2: non-numeric label 'a'\n"
 
     def test_malformed_graph_is_domain_error(self, capsys, tmp_path):
         graph_file = tmp_path / "bad.txt"
