@@ -71,10 +71,12 @@ _ORDERINGS = {
 
 @dataclass(frozen=True)
 class TransformParams:
+    """Shift d1 = d2 and scale c1 = c2; the scale is None when d_max + d_min = 0."""
+
     d1: float
     d2: float
-    c1: float
-    c2: float
+    c1: Optional[float]
+    c2: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -176,14 +178,24 @@ class PolyMapReport:
     max_residual: Optional[float]
 
 
+def _params(ds: DegreeSummary) -> TransformParams:
+    # An edgeless graph has the shift (d1 = 0) but no scale.
+    total = ds.d_max + ds.d_min
+    c = 2.0 / total if total > 0 else None
+    return TransformParams(d1=total / 2.0, d2=total / 2.0, c1=c, c2=c)
+
+
 def transform_params(ds: DegreeSummary) -> TransformParams:
     """Shift d1 = d2 and scale c1 = c2 derived from the degree extremes."""
-    total = ds.d_max + ds.d_min
-    if total <= 0:
+    p = _params(ds)
+    _scale(p.c1)  # raises when d_max + d_min = 0
+    return p
+
+
+def _scale(c: Optional[float]) -> float:
+    if c is None:
         raise ValueError("transform parameters need d_max + d_min > 0")
-    d = total / 2.0
-    c = 2.0 / total
-    return TransformParams(d1=d, d2=d, c1=c, c2=c)
+    return c
 
 
 def apply_transform(which: Transform, p: TransformParams, s: Spectrum) -> np.ndarray:
@@ -199,11 +211,11 @@ def apply_transform(which: Transform, p: TransformParams, s: Spectrum) -> np.nda
     if which is Transform.F2:
         if s.kind is not RepresentationKind.LAPLACIAN:
             raise ValueError("f2 expects an unnormalised Laplacian spectrum")
-        return p.c1 * s.values
+        return _scale(p.c1) * s.values
     if which is Transform.F3:
         if s.kind is not RepresentationKind.ADJACENCY:
             raise ValueError("f3 expects an adjacency spectrum")
-        return 1.0 - p.c2 * s.values
+        return 1.0 - _scale(p.c2) * s.values
     raise ValueError(f"unknown transform {which!r}")
 
 
@@ -214,15 +226,17 @@ def eigenvalue_bound_set(ds: DegreeSummary) -> BoundSet:
     e(L,Lrw)  = 2 (d_max - d_min)/(d_max + d_min)
     e(A,Lrw)  = 3 (d_max - d_min)/(d_max + d_min)
     e'(A,Lrw) = e(A,Lrw) when d_max <= 5 d_min, else 2 (degenerate transform).
+
+    Integer coefficients keep the result exact when the extremes are Fractions.
     """
     diff = ds.d_max - ds.d_min
-    e_al = diff / 2.0
+    e_al = diff / 2
     if ds.d_min <= DEGREE_TOL:
         return BoundSet(e_al=e_al, e_llrw=None, e_alrw=None, e_prime_alrw=None)
     total = ds.d_max + ds.d_min
-    e_llrw = 2.0 * diff / total
-    e_alrw = 3.0 * diff / total
-    e_prime = e_alrw if ds.d_max <= 5.0 * ds.d_min else 2.0
+    e_llrw = 2 * diff / total
+    e_alrw = 3 * diff / total
+    e_prime = e_alrw if ds.d_max <= 5 * ds.d_min else 2.0
     return BoundSet(e_al=e_al, e_llrw=e_llrw, e_alrw=e_alrw, e_prime_alrw=e_prime)
 
 
@@ -273,26 +287,19 @@ def classify_region(ds: DegreeSummary) -> RegionInfo:
     return RegionInfo(region=region, ordering=_ORDERINGS[region])
 
 
+# Each pair's source kind, target kind and the transform aligning source with target.
+PAIR_SPECTRA = {
+    MatrixPair.A_L: (RepresentationKind.ADJACENCY, RepresentationKind.LAPLACIAN, Transform.F1),
+    MatrixPair.L_LRW: (
+        RepresentationKind.LAPLACIAN, RepresentationKind.NORMALIZED_LAPLACIAN, Transform.F2),
+    MatrixPair.A_LRW: (
+        RepresentationKind.ADJACENCY, RepresentationKind.NORMALIZED_LAPLACIAN, Transform.F3),
+}
+
+
 def _pair_spectra(pair: MatrixPair, g: Graph) -> tuple[Spectrum, Spectrum, Transform]:
-    if pair is MatrixPair.A_L:
-        return (
-            spectrum(g, RepresentationKind.ADJACENCY),
-            spectrum(g, RepresentationKind.LAPLACIAN),
-            Transform.F1,
-        )
-    if pair is MatrixPair.L_LRW:
-        return (
-            spectrum(g, RepresentationKind.LAPLACIAN),
-            spectrum(g, RepresentationKind.NORMALIZED_LAPLACIAN),
-            Transform.F2,
-        )
-    if pair is MatrixPair.A_LRW:
-        return (
-            spectrum(g, RepresentationKind.ADJACENCY),
-            spectrum(g, RepresentationKind.NORMALIZED_LAPLACIAN),
-            Transform.F3,
-        )
-    raise ValueError(f"unknown matrix pair {pair!r}")
+    source, target, which = PAIR_SPECTRA[pair]
+    return spectrum(g, source), spectrum(g, target), which
 
 
 def pair_bound(pair: MatrixPair, ds: DegreeSummary) -> float:
@@ -314,7 +321,7 @@ def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
     """
     ds = degree_summary(g)
     source, target, which = _pair_spectra(pair, g)
-    transformed = apply_transform(which, transform_params(ds), source)
+    transformed = apply_transform(which, _params(ds), source)
     deltas = target.values - transformed
     bound = pair_bound(pair, ds)
     within = bool(np.abs(deltas).max(initial=0.0) <= bound + BOUND_SLACK)
@@ -419,7 +426,7 @@ def weyl_check(g: Graph) -> WeylReport:
     lambda_i by something in [d1 - d_max, d1 - d_min].
     """
     ds = degree_summary(g)
-    params = transform_params(ds)
+    params = _params(ds)
     mu = spectrum(g, RepresentationKind.ADJACENCY).values
     lam = spectrum(g, RepresentationKind.LAPLACIAN).values
     differences = (params.d1 - mu) - lam

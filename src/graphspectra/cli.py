@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -25,6 +25,7 @@ import numpy as np
 from .bounds import (
     DEFAULT_CROSSOVER_TOL,
     DEFAULT_MERGE_TOL,
+    PAIR_SPECTRA,
     MatrixPair,
     classify_region,
     detect_maximal_crossover,
@@ -88,28 +89,31 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
 
 
-def _round2(fr: Fraction) -> str:
-    """Two-decimal half-up rendering with trailing zeros stripped, as printed."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        dec = Decimal(fr.numerator) / Decimal(fr.denominator)
-    return format(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP).normalize(), "f")
+def _round2(x, strip: bool) -> str:
+    """A Fraction x >= 0 rounded half-up to two decimals; "·" for None."""
+    if x is None:
+        return "·"
+    cents = math.floor(x * 100 + Fraction(1, 2))
+    text = f"{cents // 100}.{cents % 100:02d}"
+    return text.rstrip("0").rstrip(".") if strip else text
+
+
+def _render(d_min, d_max, strip: bool) -> str:
+    """The triple (e(A,L), e(L,Lrw), e(A,Lrw)), computed exactly and rounded half-up."""
+    b = eigenvalue_bound_set(_extremes(Fraction(d_min), Fraction(d_max)))
+    return "(" + ", ".join(_round2(e, strip) for e in (b.e_al, b.e_llrw, b.e_alrw)) + ")"
+
+
+def _extremes(d_min, d_max) -> DegreeSummary:
+    """Degree summary of a class known only by its extremes."""
+    return DegreeSummary(degrees=np.array([d_min, d_max], dtype=float), d_min=d_min, d_max=d_max)
 
 
 def bound_table_cell(j: int, k: int) -> str:
     """Rendered bound triple (e(A,L), e(L,Lrw), e(A,Lrw)) for the class (j, k)."""
     if j > k:
         return "*"
-    e_al = Fraction(k - j, 2)
-    if j == 0:
-        return f"({_round2(e_al)}, ·, ·)"
-    e_llrw = Fraction(2 * (k - j), k + j)
-    e_alrw = Fraction(3 * (k - j), k + j)
-    return f"({_round2(e_al)}, {_round2(e_llrw)}, {_round2(e_alrw)})"
-
-
-def _fmt_e(value: Optional[float]) -> str:
-    return "·" if value is None else f"{value:.2f}"
+    return _render(j, k, strip=True)
 
 
 def _csv_float(x: float) -> str:
@@ -184,6 +188,12 @@ def _cmd_spectra(args) -> int:
     return 0
 
 
+def _per_pair(summary, g: Graph, lrw_defined: bool) -> dict:
+    """summary(pair, g) keyed by pair; the Lrw pairs are null when d_min = 0."""
+    return {pair.value: summary(pair, g) if pair is MatrixPair.A_L or lrw_defined else None
+            for pair in MatrixPair}
+
+
 def _pair_summary(pair: MatrixPair, g: Graph) -> dict:
     diffs = pair_differences(pair, g)
     return {
@@ -197,10 +207,7 @@ def _cmd_bounds(args) -> int:
     g = _load_graph(args.file, args.input_format)
     ds = degree_summary(g)
     bounds = eigenvalue_bound_set(ds)
-    lrw_defined = bounds.e_llrw is not None
-    pairs = {"A_L": _pair_summary(MatrixPair.A_L, g)}
-    pairs["L_Lrw"] = _pair_summary(MatrixPair.L_LRW, g) if lrw_defined else None
-    pairs["A_Lrw"] = _pair_summary(MatrixPair.A_LRW, g) if lrw_defined else None
+    pairs = _per_pair(_pair_summary, g, lrw_defined=bounds.e_llrw is not None)
     _print_json({
         "d_min": float(ds.d_min),
         "d_max": float(ds.d_max),
@@ -210,7 +217,7 @@ def _cmd_bounds(args) -> int:
             "e_ALrw": bounds.e_alrw,
             "e_prime_ALrw": bounds.e_prime_alrw,
         },
-        "rendered": f"({_fmt_e(bounds.e_al)}, {_fmt_e(bounds.e_llrw)}, {_fmt_e(bounds.e_alrw)})",
+        "rendered": _render(ds.d_min, ds.d_max, strip=False),
         "pairs": pairs,
     })
     return 0
@@ -234,10 +241,7 @@ def _cmd_gaps(args) -> int:
     g = _load_graph(args.file, args.input_format)
     ds = degree_summary(g)
     gaps = gap_bound_set(ds)
-    lrw_defined = gaps.g_llrw is not None
-    pairs = {"A_L": _gap_summary(MatrixPair.A_L, g)}
-    pairs["L_Lrw"] = _gap_summary(MatrixPair.L_LRW, g) if lrw_defined else None
-    pairs["A_Lrw"] = _gap_summary(MatrixPair.A_LRW, g) if lrw_defined else None
+    pairs = _per_pair(_gap_summary, g, lrw_defined=gaps.g_llrw is not None)
     _print_json({
         "d_min": float(ds.d_min),
         "d_max": float(ds.d_max),
@@ -264,9 +268,7 @@ def _cmd_table(args) -> int:
             for j in dmins:
                 if j > k:
                     continue
-                ds = DegreeSummary(degrees=np.array([float(j), float(k)]),
-                                   d_min=float(j), d_max=float(k))
-                bounds = eigenvalue_bound_set(ds)
+                bounds = eigenvalue_bound_set(_extremes(float(j), float(k)))
                 cells.append({
                     "d_min": j,
                     "d_max": k,
@@ -291,8 +293,7 @@ def _cmd_region(args) -> int:
     if args.file is not None:
         ds = degree_summary(_load_graph(args.file, args.input_format))
     elif args.dmin is not None and args.dmax is not None:
-        ds = DegreeSummary(degrees=np.array([float(args.dmin), float(args.dmax)]),
-                           d_min=float(args.dmin), d_max=float(args.dmax))
+        ds = _extremes(float(args.dmin), float(args.dmax))
     else:
         print("error: region needs a FILE or both --dmin and --dmax", file=sys.stderr)
         return 2
@@ -346,10 +347,7 @@ def _cmd_crossover(args) -> int:
 
 def _cmd_polymap(args) -> int:
     g = _load_graph(args.file, args.input_format)
-    pair = MatrixPair(args.pair)
-    src_kind = RepresentationKind.LAPLACIAN if pair is MatrixPair.L_LRW else RepresentationKind.ADJACENCY
-    dst_kind = (RepresentationKind.LAPLACIAN if pair is MatrixPair.A_L
-                else RepresentationKind.NORMALIZED_LAPLACIAN)
+    src_kind, dst_kind, _ = PAIR_SPECTRA[MatrixPair(args.pair)]
     report = polynomial_spectrum_map(spectrum(g, src_kind), spectrum(g, dst_kind),
                                      merge_tol=args.merge_tol)
     _print_json({
@@ -377,59 +375,36 @@ def _cmd_weyl(args) -> int:
     return 0
 
 
-def _plotdata_eigs(g: Graph, pair: MatrixPair, name: str) -> str:
-    diffs = pair_differences(pair, g)
-    centers = (diffs.transformed + diffs.target) / 2.0
-    lines = [f"# graph={name}", f"# pair={pair.value}", "# figure=eigs",
-             f"# bound={_csv_float(diffs.bound)}"]
-    inner = None
-    if pair is MatrixPair.A_LRW:
-        inner = eigenvalue_bound_set(degree_summary(g)).e_prime_alrw
-        lines.append(f"# inner_bound={_csv_float(inner)}")
+def _plotdata_csv(name: str, pair: MatrixPair, figure: str, raw: np.ndarray,
+                  transformed: np.ndarray, bound: float, inner: Optional[float]) -> str:
+    """Per-index CSV of raw and transformed values, centred in the bound interval(s)."""
+    centers = (transformed + raw) / 2.0
+    columns = [raw, transformed, centers, centers - bound, centers + bound]
+    lines = [f"# graph={name}", f"# pair={pair.value}", f"# figure={figure}",
+             f"# bound={_csv_float(bound)}"]
     header = "index,raw,transformed,center,interval_low,interval_high"
     if inner is not None:
+        lines.append(f"# inner_bound={_csv_float(inner)}")
         header += ",inner_low,inner_high"
+        columns += [centers - inner, centers + inner]
     lines.append(header)
     for i in range(len(centers)):
-        row = [str(i + 1), _csv_float(diffs.target[i]), _csv_float(diffs.transformed[i]),
-               _csv_float(centers[i]), _csv_float(centers[i] - diffs.bound),
-               _csv_float(centers[i] + diffs.bound)]
-        if inner is not None:
-            row += [_csv_float(centers[i] - inner), _csv_float(centers[i] + inner)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _plotdata_gaps(g: Graph, pair: MatrixPair, name: str) -> str:
-    gd = gap_differences(pair, g)
-    centers = (gd.source_gaps + gd.target_gaps) / 2.0
-    lines = [f"# graph={name}", f"# pair={pair.value}", "# figure=gaps",
-             f"# bound={_csv_float(gd.bound)}"]
-    if gd.primed_bound is not None:
-        lines.append(f"# inner_bound={_csv_float(gd.primed_bound)}")
-    header = "index,raw,transformed,center,interval_low,interval_high"
-    if gd.primed_bound is not None:
-        header += ",inner_low,inner_high"
-    lines.append(header)
-    for i in range(len(centers)):
-        row = [str(i + 1), _csv_float(gd.target_gaps[i]), _csv_float(gd.source_gaps[i]),
-               _csv_float(centers[i]), _csv_float(centers[i] - gd.bound),
-               _csv_float(centers[i] + gd.bound)]
-        if gd.primed_bound is not None:
-            row += [_csv_float(centers[i] - gd.primed_bound),
-                    _csv_float(centers[i] + gd.primed_bound)]
-        lines.append(",".join(row))
+        lines.append(",".join([str(i + 1)] + [_csv_float(c[i]) for c in columns]))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_plotdata(args) -> int:
     g = _load_graph(args.file, args.input_format)
     pair = MatrixPair(args.pair)
-    name = Path(args.file).stem
     if args.figure == "eigs":
-        _emit(_plotdata_eigs(g, pair, name), args.output)
+        d = pair_differences(pair, g)
+        inner = (eigenvalue_bound_set(degree_summary(g)).e_prime_alrw
+                 if pair is MatrixPair.A_LRW else None)
+        columns = (d.target, d.transformed, d.bound, inner)
     else:
-        _emit(_plotdata_gaps(g, pair, name), args.output)
+        gd = gap_differences(pair, g)
+        columns = (gd.target_gaps, gd.source_gaps, gd.bound, gd.primed_bound)
+    _emit(_plotdata_csv(Path(args.file).stem, pair, args.figure, *columns), args.output)
     return 0
 
 

@@ -8,7 +8,7 @@ vertex ids are reported back to the user.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -30,13 +30,15 @@ class Graph:
 
     ``rescaled`` is set by the loaders when weights above 1 were divided
     by the maximum weight. Instances are immutable; the weight matrix is
-    marked read-only.
+    marked read-only, and so are the spectra memoised on the instance.
     """
 
     n: int
     weights: np.ndarray
     index_base: int = 0
     rescaled: bool = False
+    # RepresentationKind -> Spectrum, filled by spectra.spectrum.
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)

@@ -171,8 +171,17 @@ def eigensystem(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarra
 
 
 def spectrum(g: Graph, kind: RepresentationKind) -> Spectrum:
-    """Ordered eigenvalues of the chosen representation matrix."""
-    spec, _ = eigensystem(g, kind)
+    """Ordered eigenvalues of the chosen representation matrix.
+
+    Memoised on the graph, which is immutable: every call for the same
+    graph and kind returns the same Spectrum, whose values are read-only.
+    The eigenvectors are not kept; :func:`eigensystem` recomputes them.
+    """
+    spec = g._spectra.get(kind)
+    if spec is None:
+        spec, _ = eigensystem(g, kind)
+        spec.values.setflags(write=False)
+        g._spectra[kind] = spec
     return spec
 
 

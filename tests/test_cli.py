@@ -113,6 +113,83 @@ class TestBoundsAndGaps:
         assert out["pairs"]["L_Lrw"] is None
         assert out["rendered"].startswith("(0.50, ")
 
+    @pytest.mark.parametrize("gen,rendered", [(("star", "16"), "(7.00, 1.75, 2.63)"),
+                                              (("graphc", "18"), "(8.00, 1.78, 2.67)")])
+    def test_rendering_rounds_ties_half_up_like_table(self, capsys, tmp_path, gen, rendered):
+        """star(16) is class (1, 15): e(A,Lrw) = 2.625 exactly, which table prints as 2.63."""
+        graph_file = tmp_path / "g.txt"
+        run(capsys, "gen", *gen, "-o", str(graph_file))
+        assert run_json(capsys, "bounds", str(graph_file))["rendered"] == rendered
+
+    def test_non_dyadic_tie_renders_like_table(self, capsys, tmp_path):
+        """Class (39, 41): e(A,Lrw) = 0.075 exactly, a float just below 0.075."""
+        lines = ["nodes 42"] + [f"{u} {v}" for u in range(42) for v in range(u + 1, 42)
+                                if (u, v) not in ((0, 1), (0, 2))]
+        graph_file = tmp_path / "k42.txt"
+        graph_file.write_text("\n".join(lines) + "\n")
+        out = run_json(capsys, "bounds", str(graph_file))
+        assert (out["d_min"], out["d_max"]) == (39.0, 41.0)
+        assert out["rendered"] == "(1.00, 0.05, 0.08)"
+        table = run_json(capsys, "table", "--json", "--dmin-max", "39", "--dmax-max", "41")
+        cell = next(c for c in table["cells"] if (c["d_min"], c["d_max"]) == (39, 41))
+        assert cell["rendered"] == "(1, 0.05, 0.08)"
+
+
+class TestEdgeless:
+    """No edges: d_min = d_max = 0, so f1's shift is 0 but the scale 2/(d_max + d_min) is not."""
+
+    @pytest.fixture(params=["nodes 3\n", "nodes 0\n"], ids=["nodes3", "nodes0"])
+    def edgeless(self, request, tmp_path):
+        graph_file = tmp_path / "edgeless.txt"
+        graph_file.write_text(request.param)
+        return str(graph_file)
+
+    def test_bounds(self, capsys, edgeless):
+        out = run_json(capsys, "bounds", edgeless)
+        assert out["bounds"] == {"e_AL": 0.0, "e_LLrw": None, "e_ALrw": None,
+                                 "e_prime_ALrw": None}
+        assert out["rendered"] == "(0.00, ·, ·)"
+        assert out["pairs"]["A_L"] == {"bound": 0.0, "max_abs_delta": 0.0, "within_bound": True}
+        assert out["pairs"]["L_Lrw"] is None and out["pairs"]["A_Lrw"] is None
+
+    def test_weyl(self, capsys, edgeless):
+        out = run_json(capsys, "weyl", edgeless)
+        assert out["ok"] is True
+        assert out["lower"] == out["upper"] == 0.0
+
+    def test_a_l_crossover_and_plotdata(self, capsys, edgeless):
+        assert run_json(capsys, "crossover", edgeless, "--pair", "A_L")["indices"] == []
+        code, out, err = run(capsys, "plotdata", edgeless, "--figure", "eigs", "--pair", "A_L")
+        assert code == 0, err
+        assert "# bound=0" in out
+
+    @pytest.mark.parametrize("argv", [("gaps",), ("crossover", "--pair", "L_Lrw"),
+                                      ("plotdata", "--figure", "eigs", "--pair", "A_Lrw")])
+    def test_gaps_and_lrw_pairs_stay_domain_errors(self, capsys, edgeless, argv):
+        code, out, err = run(capsys, argv[0], edgeless, *argv[1:])
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+
+
+class TestEigendecompositionCount:
+    """Each command decomposes each representation matrix it needs once."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("bounds",), 3), (("gaps",), 3), (("weyl",), 2), (("polymap", "--pair", "A_Lrw"), 2),
+    ])
+    def test_karate(self, capsys, monkeypatch, argv, expected):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, _, err = run(capsys, argv[0], KARATE, *argv[1:])
+        assert code == 0, err
+        assert len(calls) == expected
+
 
 class TestTable:
     def test_named_cells(self, capsys):

@@ -156,6 +156,15 @@ class TestSpectrum:
             vals = spectrum(karate, kind).values
             assert np.all(vals[:-1] <= vals[1:]), f"{kind} values must be ascending"
 
+    def test_memoised_on_the_graph_and_read_only(self):
+        g = path3()
+        for kind in ALL_KINDS:
+            s = spectrum(g, kind)
+            assert spectrum(g, kind) is s
+            with pytest.raises(ValueError, match="read-only"):
+                s.values[0] = 1.0
+        assert spectrum(path3(), A) is not spectrum(g, A)
+
     def test_values_inside_support(self, karate, star18, bipartite_b, graph_c18):
         for g in (karate, star18, bipartite_b, graph_c18):
             for kind in ALL_KINDS:
