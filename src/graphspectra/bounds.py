@@ -404,13 +404,17 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
 
 
 def mapped_support(which: Transform, ds: DegreeSummary) -> tuple[float, float]:
-    """Image of the source spectral support under one affine transform."""
-    total = ds.d_max + ds.d_min
-    if total <= 0:
-        raise ValueError("mapped supports need d_max + d_min > 0")
+    """Image of the source spectral support under one affine transform.
+
+    f1 needs only the shift, so it is defined on an edgeless graph (image
+    (0, 0)); f2 and f3 need the scale 2/(d_max + d_min) and raise there.
+    """
     diff = ds.d_max - ds.d_min
     if which is Transform.F1:
         return (-diff / 2.0, (3.0 * ds.d_max + ds.d_min) / 2.0)
+    total = ds.d_max + ds.d_min
+    if total <= 0:
+        raise ValueError("mapped supports of f2 and f3 need d_max + d_min > 0")
     if which is Transform.F2:
         return (0.0, 4.0 * ds.d_max / total)
     if which is Transform.F3:

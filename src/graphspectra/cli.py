@@ -36,7 +36,7 @@ from .bounds import (
     polynomial_spectrum_map,
     weyl_check,
 )
-from .clustering import DEFAULT_RESTARTS, DEFAULT_SEED, cluster, compare_clusterings
+from .clustering import DEFAULT_RESTARTS, DEFAULT_SEED, KMeansError, cluster, compare_clusterings
 from .data import load_truth_labels
 from .graphs import (
     DegreeSummary,
@@ -148,12 +148,9 @@ def _cmd_info(args) -> int:
 def _write_edge_list(g: Graph) -> str:
     base = g.index_base
     lines = [f"nodes {g.n} base {base}"]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            w = g.weights[u, v]
-            if w:
-                suffix = "" if w == 1.0 else f" {_csv_float(w)}"
-                lines.append(f"{u + base} {v + base}{suffix}")
+    for (u, v), w in zip(g.edges.tolist(), g.edge_weights.tolist()):
+        suffix = "" if w == 1.0 else f" {_csv_float(w)}"
+        lines.append(f"{u + base} {v + base}{suffix}")
     return "\n".join(lines) + "\n"
 
 
@@ -536,7 +533,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, EigensolverError, MemoryError) as exc:
+    except (ValueError, OSError, EigensolverError, KMeansError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,10 @@ DEFAULT_RESTARTS = 50
 MAX_LLOYD_ITERATIONS = 300
 
 
+class KMeansError(RuntimeError):
+    """Lloyd's iteration increased the k-means inertia, which exact arithmetic forbids."""
+
+
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Rows are vertices, columns the selected eigenvectors."""
@@ -90,9 +94,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
         distances = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(distances, axis=1)  # ties go to the lowest centre id
         cost = float(distances[np.arange(len(points)), new_labels].sum())
-        assert not np.isfinite(previous_cost) or cost <= previous_cost + 1e-9 * max(
-            1.0, previous_cost
-        ), "k-means inertia increased across an iteration"
+        if np.isfinite(previous_cost) and not cost <= previous_cost + 1e-9 * max(1.0, previous_cost):
+            raise KMeansError(
+                f"k-means inertia increased across an iteration ({previous_cost!r} -> {cost!r})")
         if np.array_equal(new_labels, labels) and np.isfinite(previous_cost):
             return labels, cost
         labels, previous_cost = new_labels, cost

@@ -7,14 +7,16 @@ vertex ids are reported back to the user.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Optional, Union
 
 import numpy as np
 
-# Row sums are floating-point; degrees within this of each other (or of zero)
-# are treated as equal (resp. zero).
+# Degrees are floating-point sums; degrees within this of each other (or of
+# zero) are treated as equal (resp. zero).
 DEGREE_TOL = 1e-12
 
 TextSource = Union[str, IO[str]]
@@ -24,45 +26,115 @@ class GraphFormatError(ValueError):
     """An input stream violates the edge-list or Pajek format."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Simple undirected graph with symmetric edge weights in [0, 1].
+    """Simple undirected graph with edge weights in (0, 1].
+
+    A graph is its edge list: row i of ``edges`` is an upper-triangle pair
+    u < v, rows in lexicographic order without repeats, and
+    ``edge_weights[i]`` its weight. The degree vector is computed from them
+    once, at construction. ``Graph(n, weights)`` takes a dense symmetric
+    matrix and derives the edges from it; :meth:`from_edges` takes the edge
+    arrays directly and never builds the n x n ``weights`` matrix, which is
+    then assembled on first access.
 
     ``rescaled`` is set by the loaders when weights above 1 were divided
-    by the maximum weight. Instances are immutable; the weight matrix is
-    marked read-only, and so are the spectra memoised on the instance.
+    by the maximum weight. Instances are immutable; every array is marked
+    read-only, and so are the spectra memoised on the instance.
     """
 
     n: int
-    weights: np.ndarray
-    index_base: int = 0
-    rescaled: bool = False
+    edges: np.ndarray
+    edge_weights: np.ndarray
+    degrees: np.ndarray
+    index_base: int
+    rescaled: bool
+    _weights: Optional[np.ndarray] = field(repr=False)
     # RepresentationKind -> Spectrum, filled by spectra.spectrum.
-    _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _spectra: dict = field(repr=False)
 
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
-        if self.n < 0:
+    def __init__(self, n: int, weights: np.ndarray, index_base: int = 0,
+                 rescaled: bool = False) -> None:
+        w = np.array(weights, dtype=float)
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if w.shape != (self.n, self.n):
-            raise ValueError(f"weights must be {self.n}x{self.n}, got {w.shape}")
+        if w.shape != (n, n):
+            raise ValueError(f"weights must be {n}x{n}, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be exactly symmetric")
-        if self.n and np.any(np.diag(w) != 0.0):
+        if n and np.any(np.diag(w) != 0.0):
             raise ValueError("self-loops are not allowed (diagonal must be zero)")
-        if self.n and (w.min() < 0.0 or w.max() > 1.0):
+        if n and (w.min() < 0.0 or w.max() > 1.0):
             raise ValueError("weights must lie in [0, 1]")
-        if self.index_base not in (0, 1):
+        u, v = np.nonzero(w)
+        upper = u < v
+        u, v = u[upper], v[upper]
+        self._setup(n, np.stack([u, v], axis=1), w[u, v], index_base, rescaled, w)
+
+    @classmethod
+    def from_edges(cls, n: int, edges, edge_weights, index_base: int = 0,
+                   rescaled: bool = False) -> Graph:
+        """Graph from an m x 2 array of vertex pairs u < v and their m weights.
+
+        The pairs may come in any order; they are sorted. Checks cost
+        O(m log m): ids in range, u < v, no repeated pair, weights finite and
+        in (0, 1]. Together these make the implied matrix symmetric with a
+        zero diagonal.
+        """
+        e = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        w = np.array(edge_weights, dtype=float).reshape(-1)
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        if len(w) != len(e):
+            raise ValueError(f"{len(e)} edges but {len(w)} edge weights")
+        if len(e) and (e.min() < 0 or e.max() >= n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        if np.any(e[:, 0] >= e[:, 1]):
+            raise ValueError("edges must be upper-triangle pairs u < v")
+        order = np.lexsort((e[:, 1], e[:, 0]))
+        e, w = e[order], w[order]
+        if np.any(np.all(e[1:] == e[:-1], axis=1)):
+            raise ValueError("edges must not repeat")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if not np.all((w > 0.0) & (w <= 1.0)):
+            raise ValueError("edge weights must lie in (0, 1]")
+        g = cls.__new__(cls)
+        g._setup(n, e, w, index_base, rescaled, None)
+        return g
+
+    def _setup(self, n, edges, edge_weights, index_base, rescaled, weights) -> None:
+        if index_base not in (0, 1):
             raise ValueError("index_base must be 0 or 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        # Edge rows are in lexicographic order, so each vertex sums its
+        # weights in order of ascending neighbour id.
+        degrees = np.bincount(edges.reshape(-1), weights=np.repeat(edge_weights, 2),
+                              minlength=n)
+        for a in (edges, edge_weights, degrees, weights):
+            if a is not None:
+                a.setflags(write=False)
+        for name, value in (("n", n), ("edges", edges), ("edge_weights", edge_weights),
+                            ("degrees", degrees), ("index_base", index_base),
+                            ("rescaled", rescaled), ("_weights", weights), ("_spectra", {})):
+            object.__setattr__(self, name, value)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The symmetric n x n weight matrix, read-only, built on first access."""
+        if self._weights is None:
+            w = np.zeros((self.n, self.n))
+            u, v = self.edges.T
+            w[u, v] = w[v, u] = self.edge_weights
+            w.setflags(write=False)
+            object.__setattr__(self, "_weights", w)
+        return self._weights
 
 
 @dataclass(frozen=True)
 class DegreeSummary:
-    """Vertex degrees (weighted row sums) and their extremes."""
+    """Vertex degrees (sums of incident edge weights) and their extremes."""
 
     degrees: np.ndarray
     d_min: float
@@ -90,13 +162,35 @@ def _graph_from_edges(
     edges: dict[tuple[int, int], float],
     index_base: int,
 ) -> Graph:
-    w = np.zeros((n, n))
-    max_weight = max(edges.values(), default=1.0)
-    rescaled = max_weight > 1.0
-    scale = max_weight if rescaled else 1.0
-    for (u, v), weight in edges.items():
-        w[u, v] = w[v, u] = weight / scale
-    return Graph(n=n, weights=w, index_base=index_base, rescaled=rescaled)
+    weights = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    max_weight = weights.max(initial=1.0)
+    rescaled = bool(max_weight > 1.0)
+    if rescaled:
+        weights = weights / max_weight
+        if not np.all(weights > 0.0):
+            raise GraphFormatError(
+                f"a weight underflows to 0 when divided by the maximum weight {max_weight!r}")
+    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+    return Graph.from_edges(n, pairs.reshape(-1, 2), weights, index_base=index_base,
+                            rescaled=rescaled)
+
+
+def _check_vertex_count(n: int, lineno: int) -> None:
+    """Reject a declared n whose dense n x n float64 matrix exceeds physical memory.
+
+    Spectra need that matrix, so such a file can never be analysed; saying
+    so at the header beats an allocation failure (or the OOM killer) later.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform does not say
+        return
+    need = 8 * n * n
+    if need > memory:
+        raise GraphFormatError(
+            f"line {lineno}: {n} vertices need a {need / 2**30:,.1f} GiB dense matrix, "
+            f"more than the {memory / 2**30:,.1f} GiB of physical memory"
+        )
 
 
 def _lines(source: TextSource) -> list[str]:
@@ -133,8 +227,10 @@ def load_edge_list(source: TextSource) -> Graph:
     Format: '#' starts a comment, a header line ``nodes N [base {0|1}]``
     declares the vertex count and id base (default 0), then one edge per
     line as ``u v [w]`` with the weight defaulting to 1. Duplicate edges
-    and self-loops are errors. If any weight exceeds 1 the whole matrix
-    is divided by the maximum weight and the graph is flagged rescaled.
+    and self-loops are errors, and so is a vertex count whose dense n x n
+    matrix would not fit in physical memory. If any weight exceeds 1 every
+    weight is divided by the maximum weight and the graph is flagged
+    rescaled. The graph is built from its edges; no n x n matrix is made.
     """
     n: Optional[int] = None
     base = 0
@@ -156,6 +252,7 @@ def load_edge_list(source: TextSource) -> Graph:
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
             if n < 0 or base not in (0, 1):
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
+            _check_vertex_count(n, lineno)
             continue
         if len(tokens) not in (2, 3):
             raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
@@ -179,8 +276,8 @@ def load_pajek(source: TextSource) -> Graph:
     sections with 1-based, whitespace-separated ``u v [w]`` lines.
     Vertex-label lines inside the ``*Vertices`` section are ignored.
     Arcs are symmetrised; an arc and its reverse collapse to one edge
-    (conflicting weights are an error). Same rescaling contract as
-    :func:`load_edge_list`.
+    (conflicting weights are an error). Same size limit and rescaling
+    contract as :func:`load_edge_list`.
     """
     n: Optional[int] = None
     section = ""
@@ -200,6 +297,9 @@ def load_pajek(source: TextSource) -> Graph:
                     n = int(tokens[1])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: non-numeric vertex count") from None
+                if n < 0:
+                    raise GraphFormatError(f"line {lineno}: negative vertex count")
+                _check_vertex_count(n, lineno)
                 section = "vertices"
             elif marker in ("*edges", "*arcs"):
                 if n is None:
@@ -240,8 +340,8 @@ def load_pajek(source: TextSource) -> Graph:
 
 
 def degree_summary(g: Graph) -> DegreeSummary:
-    """Row sums of the weight matrix together with d_min and d_max."""
-    degrees = g.weights.sum(axis=1)
+    """The graph's (read-only) weighted degrees together with d_min and d_max."""
+    degrees = g.degrees
     if g.n == 0:
         return DegreeSummary(degrees=degrees, d_min=0.0, d_max=0.0)
     return DegreeSummary(degrees=degrees, d_min=float(degrees.min()), d_max=float(degrees.max()))
@@ -251,9 +351,16 @@ def connected_components(g: Graph) -> ComponentLabeling:
     """Label connected components by breadth-first traversal.
 
     Components are numbered in order of their lowest vertex, so labels
-    are deterministic and contiguous in 0..c-1.
+    are deterministic and contiguous in 0..c-1. The traversal runs on a
+    compressed adjacency built from the edge list, in O(n + m).
     """
-    labels = np.full(g.n, -1, dtype=int)
+    ends = g.edges.reshape(-1)  # u0 v0 u1 v1 ...
+    partners = g.edges[:, ::-1].reshape(-1)  # v0 u0 v1 u1 ...
+    offsets = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=g.n), out=offsets[1:])
+    offsets = offsets.tolist()
+    neighbours = partners[np.argsort(ends, kind="stable")].tolist()
+    labels = [-1] * g.n
     count = 0
     for start in range(g.n):
         if labels[start] >= 0:
@@ -262,38 +369,46 @@ def connected_components(g: Graph) -> ComponentLabeling:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in np.flatnonzero(g.weights[u]):
+            for v in neighbours[offsets[u] : offsets[u + 1]]:
                 if labels[v] < 0:
                     labels[v] = count
-                    queue.append(int(v))
+                    queue.append(v)
         count += 1
-    return ComponentLabeling(labels=labels, component_count=count)
+    return ComponentLabeling(labels=np.array(labels, dtype=int), component_count=count)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Block-diagonal union of two graphs; no cross edges."""
-    n = a.n + b.n
-    w = np.zeros((n, n))
-    w[: a.n, : a.n] = a.weights
-    w[a.n :, a.n :] = b.weights
-    return Graph(n=n, weights=w, index_base=a.index_base, rescaled=a.rescaled or b.rescaled)
+    return Graph.from_edges(
+        a.n + b.n,
+        np.concatenate([a.edges, b.edges + a.n]),
+        np.concatenate([a.edge_weights, b.edge_weights]),
+        index_base=a.index_base,
+        rescaled=a.rescaled or b.rescaled,
+    )
+
+
+def _unweighted(n: int, edges) -> Graph:
+    """A 1-based generated graph with unit weights on the given pairs u < v."""
+    return Graph.from_edges(n, edges, np.ones(len(edges)), index_base=1)
+
+
+def _complete_edges(k: int) -> np.ndarray:
+    return np.stack(np.triu_indices(k, 1), axis=1)
 
 
 def gen_star(n: int) -> Graph:
     """Star on n vertices: vertex 0 is the hub, degrees {n-1, 1 x (n-1)}."""
     if n < 2:
         raise ValueError("star graph needs at least 2 vertices")
-    w = np.zeros((n, n))
-    w[0, 1:] = w[1:, 0] = 1.0
-    return Graph(n=n, weights=w, index_base=1)
+    return _unweighted(n, [(0, v) for v in range(1, n)])
 
 
 def gen_complete(k: int) -> Graph:
     """Complete graph on k vertices; (k-1)-regular."""
     if k < 1:
         raise ValueError("complete graph needs at least 1 vertex")
-    w = np.ones((k, k)) - np.eye(k)
-    return Graph(n=k, weights=w, index_base=1)
+    return _unweighted(k, _complete_edges(k))
 
 
 def gen_graph_c(k: int) -> Graph:
@@ -305,10 +420,8 @@ def gen_graph_c(k: int) -> Graph:
     """
     if k < 2:
         raise ValueError("complete component needs at least 2 vertices")
-    g = gen_complete(k)
-    for _ in range(9):
-        g = disjoint_union(g, gen_complete(2))
-    return g
+    pairs = np.arange(k, k + 18).reshape(9, 2)
+    return _unweighted(k + 18, np.concatenate([_complete_edges(k), pairs]))
 
 
 def gen_bipartite_b() -> Graph:
@@ -318,12 +431,7 @@ def gen_bipartite_b() -> Graph:
     only to vertex 17; the other sixteen X vertices are joined to all of
     Y. The wiring is one concrete realisation of the degree sequence.
     """
-    n = 34
-    w = np.zeros((n, n))
-    w[0, 17] = w[17, 0] = 1.0
-    for x in range(1, 17):
-        w[x, 17:] = w[17:, x] = 1.0
-    return Graph(n=n, weights=w, index_base=1)
+    return _unweighted(34, [(0, 17)] + [(x, y) for x in range(1, 17) for y in range(17, 34)])
 
 
 def is_d_regular(g: Graph) -> Optional[float]:

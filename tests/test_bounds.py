@@ -29,6 +29,7 @@ from graphspectra import (
     gen_complete,
     gen_graph_c,
     gen_star,
+    load_edge_list,
     mapped_support,
     normalized_eigengaps,
     pair_differences,
@@ -338,6 +339,16 @@ class TestMappedSupport:
         lo, hi = mapped_support(Transform.F3, summary(1, 17))
         assert lo == pytest.approx(-8 / 9)
         assert hi == pytest.approx(26 / 9)
+
+    def test_edgeless_f1_is_the_origin_f2_f3_undefined(self):
+        """f1 needs only the shift d1 = 0; f2 and f3 need the scale 2/(d_max + d_min)."""
+        g = load_edge_list("nodes 3\n")
+        ds = degree_summary(g)
+        assert mapped_support(Transform.F1, ds) == (0.0, 0.0)
+        assert np.array_equal(pair_differences(MatrixPair.A_L, g).transformed, np.zeros(3))
+        for which in (Transform.F2, Transform.F3):
+            with pytest.raises(ValueError, match="d_max \\+ d_min > 0"):
+                mapped_support(which, ds)
 
     def test_transformed_spectra_inside_mapped_support(self, karate):
         ds = degree_summary(karate)

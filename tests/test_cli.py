@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,37 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestPrecheckCost:
+    """info and region need degrees and components only: O(n + m), no n x n matrix."""
+
+    N = 3000
+
+    @pytest.fixture(scope="class")
+    def ring_file(self, tmp_path_factory):
+        n = self.N
+        rng = np.random.default_rng(3)
+        chords = {(min(u, v), max(u, v)) for u, v in rng.integers(0, n, size=(3 * n, 2)) if u != v}
+        ring = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+        path = tmp_path_factory.mktemp("precheck") / "ring.txt"
+        lines = [f"nodes {n}"] + [f"{u} {v}" for u, v in sorted(ring | chords)]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["info", "region"])
+    def test_never_builds_the_dense_matrix(self, capsys, ring_file, command):
+        dense_bytes = self.N * self.N * 8
+        tracemalloc.start()
+        try:
+            code = main([command, ring_file])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["d_min"] >= 2.0
+        assert peak < dense_bytes / 8, f"peak {peak} bytes, dense matrix {dense_bytes}"
+
+
 class TestCrossoverPolymapWeyl:
     def test_crossover_graph_c(self, capsys, tmp_path):
         graph_file = tmp_path / "c18.txt"
@@ -383,6 +415,30 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_oversized_pajek_header_is_domain_error(self, capsys, tmp_path):
+        graph_file = tmp_path / "huge.net"
+        graph_file.write_text("*Vertices 100000000\n*Edges\n1 2\n")
+        code, out, err = run(capsys, "region", str(graph_file))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 1: 100000000 vertices need a ")
+        assert len(err.splitlines()) == 1
+
+    def test_kmeans_inertia_increase_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        real_argmin = np.argmin
+        calls = []
+
+        def farthest_after_first(a, axis=None):
+            calls.append(axis)
+            return real_argmin(a, axis=axis) if len(calls) == 1 else np.argmax(a, axis=axis)
+
+        graph_file = tmp_path / "c18.txt"
+        assert main(["gen", "graphc", "18", "-o", str(graph_file)]) == 0
+        monkeypatch.setattr(np, "argmin", farthest_after_first)
+        code, out, err = run(capsys, "cluster", str(graph_file), "--kind", "L", "--k", "19")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: k-means inertia increased")
+        assert len(err.splitlines()) == 1
 
     def test_non_numeric_truth_label_names_the_line(self, capsys, tmp_path):
         truth_file = tmp_path / "truth.txt"

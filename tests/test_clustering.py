@@ -16,6 +16,7 @@ import pytest
 from graphspectra import (
     ClusteringResult,
     Graph,
+    KMeansError,
     RepresentationKind,
     cluster,
     compare_clusterings,
@@ -102,6 +103,22 @@ class TestKmeans:
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 4)
+
+    def test_inertia_increase_raises_named_error(self, monkeypatch):
+        """Lloyd steps never raise the inertia; if one does (here forced by
+        assigning every point to its farthest centre after the first step),
+        the check raises instead of vanishing like an assert under -O."""
+        real_argmin = np.argmin
+        calls = []
+
+        def farthest_after_first(a, axis=None):
+            calls.append(axis)
+            return real_argmin(a, axis=axis) if len(calls) == 1 else np.argmax(a, axis=axis)
+
+        monkeypatch.setattr(np, "argmin", farthest_after_first)
+        points = np.array([[0.0], [0.1], [10.0], [10.1]])
+        with pytest.raises(KMeansError, match="inertia increased"):
+            kmeans(points, 2, restarts=1)
 
     def test_restarts_must_be_positive(self):
         with pytest.raises(ValueError):

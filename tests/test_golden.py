@@ -1,7 +1,9 @@
 """Golden CLI outputs: a fixed set of commands must print byte-identical stdout.
 
 The goldens under ``tests/golden/`` were recorded with the package's own
-CLI on karate and C(18). They pin every printed digit, so an intended
+CLI on karate, C(18), a rescaled weighted C4 and a graph with an isolated
+vertex, plus the ``gen`` generators. They pin every printed digit (and,
+for the commands that must fail, the error line), so an intended
 change of output has to be made here, deliberately, by regenerating:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,6 +24,14 @@ from graphspectra.graphs import gen_graph_c
 GOLDEN = Path(__file__).parent / "golden"
 PAIRS = ("A_L", "L_Lrw", "A_Lrw")
 TABLE_SIZES = {"default": (), "4x20": ("--dmin-max", "4", "--dmax-max", "20")}
+GENERATED = {"star_18": ("star", "18"), "complete_5": ("complete", "5"),
+             "graphc_18": ("graphc", "18"), "bipartiteb": ("bipartiteb",)}
+# Weights 2, 3, 5, 7 are rescaled by 7: non-dyadic weights, non-integer degrees.
+C4_WEIGHTED = "nodes 4\n0 1 2\n1 2 3\n2 3 5\n3 0 7\n"
+# A triangle, an edge and the isolated vertex 6 (1-based): d_min = 0.
+ISOLATED = "nodes 6 base 1\n1 2\n2 3\n3 1\n4 5\n"
+# Commands that end as a domain error; their golden is the stderr line.
+FAILING = {"region_c4w"}
 
 
 def _commands() -> dict[str, list[str]]:
@@ -40,6 +50,11 @@ def _commands() -> dict[str, list[str]]:
     for size, extra in TABLE_SIZES.items():
         cmds[f"table_{size}"] = ["table", *extra]
         cmds[f"table_json_{size}"] = ["table", "--json", *extra]
+    for graph in ("karate", "c18", "c4w", "iso"):
+        for name in ("info", "region"):
+            cmds[f"{name}_{graph}"] = [name, "{" + graph + "}"]
+    for name, args in GENERATED.items():
+        cmds[f"gen_{name}"] = ["gen", *args]
     return cmds
 
 
@@ -49,7 +64,11 @@ COMMANDS = _commands()
 def _graph_files(directory: Path) -> dict[str, str]:
     c18 = directory / "c18.txt"
     main(["gen", "graphc", "18", "-o", str(c18)])
-    return {"karate": str(karate_net_path()), "c18": str(c18)}
+    c4w = directory / "c4w.txt"
+    c4w.write_text(C4_WEIGHTED)
+    iso = directory / "iso.txt"
+    iso.write_text(ISOLATED)
+    return {"karate": str(karate_net_path()), "c18": str(c18), "c4w": str(c4w), "iso": str(iso)}
 
 
 def _argv(name: str, files: dict[str, str]) -> list[str]:
@@ -61,12 +80,20 @@ def graph_files(tmp_path_factory):
     return _graph_files(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(set(COMMANDS) - FAILING))
 def test_cli_output_matches_golden(name, graph_files, capsys):
     code = main(_argv(name, graph_files))
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_cli_error_matches_golden(name, graph_files, capsys):
+    code = main(_argv(name, graph_files))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (GOLDEN / f"{name}.err").read_text()
 
 
 def _regenerate() -> None:
@@ -78,12 +105,15 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         files = _graph_files(Path(tmp))
         for name in sorted(COMMANDS):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(_argv(name, files))
-            if code != 0:
+            if code != (1 if name in FAILING else 0):
                 sys.exit(f"{name}: exit code {code}")
-            (GOLDEN / f"{name}.out").write_text(out.getvalue())
+            if name in FAILING:
+                (GOLDEN / f"{name}.err").write_text(err.getvalue())
+            else:
+                (GOLDEN / f"{name}.out").write_text(out.getvalue())
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ block-diagonal unions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspectra import (
     Graph,
@@ -23,6 +25,7 @@ from graphspectra import (
     load_edge_list,
     load_pajek,
 )
+from graphspectra.cli import _write_edge_list
 
 
 def path3():
@@ -81,6 +84,11 @@ class TestLoadEdgeList:
         g = load_edge_list("nodes 2\n0 1 4.0\n")
         assert g.weights[0, 1] == 1.0
         assert g.rescaled
+
+    def test_weight_vanishing_under_rescale_rejected(self):
+        """The smallest subnormal divided by 10 is 0: the edge would silently disappear."""
+        with pytest.raises(GraphFormatError, match="underflows to 0"):
+            load_edge_list("nodes 3\n0 1 5e-324\n1 2 10\n")
 
     def test_rescale_divides_by_maximum(self):
         g = load_edge_list("nodes 3\n0 1 4.0\n1 2 1.0\n")
@@ -329,3 +337,140 @@ class TestRegularityAndClass:
         w[0, 1] = w[1, 0] = 0.5
         with pytest.raises(ValueError, match="integer"):
             class_tag(degree_summary(Graph(n=2, weights=w)))
+
+
+def _reference_components(weights):
+    """Breadth-first labelling over dense rows, numbered by lowest vertex."""
+    n = len(weights)
+    labels = np.full(n, -1)
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for v in np.flatnonzero(weights[u]):
+                if labels[v] < 0:
+                    labels[v] = count
+                    queue.append(int(v))
+        count += 1
+    return labels
+
+
+@st.composite
+def weighted_edge_lists(draw):
+    """(n, {(u, v): weight}) with u < v; often isolated vertices and several components."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    weight = st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=7.0))
+    return n, {pair: draw(weight) for pair in chosen}
+
+
+def _edge_list_text(n, edges, base=0):
+    lines = [f"nodes {n} base {base}"]
+    lines += [f"{v + base} {u + base} {w!r}" for (u, v), w in edges.items()]  # reversed pairs
+    return "\n".join(lines) + "\n"
+
+
+class TestEdgeListCore:
+    """A graph is its edge arrays; the dense matrix is derived from them on demand."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(weighted_edge_lists())
+    def test_loaded_and_dense_graphs_agree(self, case):
+        n, edges = case
+        loaded = load_edge_list(_edge_list_text(n, edges))
+        w = np.zeros((n, n))
+        for (u, v), weight in edges.items():
+            w[u, v] = w[v, u] = weight
+        if w.size and w.max() > 1.0:
+            w = w / w.max()
+        dense = Graph(n=n, weights=w)
+        assert np.array_equal(loaded.weights, dense.weights)
+        assert np.array_equal(loaded.degrees, dense.degrees)
+        assert np.array_equal(degree_summary(loaded).degrees, degree_summary(dense).degrees)
+        assert np.array_equal(loaded.edges, dense.edges)
+        assert np.array_equal(loaded.edge_weights, dense.edge_weights)
+        # Degrees are summed in another order than a dense row sum: equal up
+        # to the rounding of n non-negative terms.
+        np.testing.assert_allclose(loaded.degrees, w.sum(axis=1),
+                                   rtol=2 * max(n, 1) * np.finfo(float).eps, atol=0)
+        reference = _reference_components(w)
+        for g in (loaded, dense):
+            labeling = connected_components(g)
+            assert np.array_equal(labeling.labels, reference)
+            assert labeling.component_count == (reference.max() + 1 if n else 0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(weighted_edge_lists(), st.sampled_from([0, 1]))
+    def test_written_edge_list_reloads_bit_for_bit(self, case, base):
+        n, edges = case
+        g = load_edge_list(_edge_list_text(n, edges, base))
+        again = load_edge_list(_write_edge_list(g))
+        assert (again.n, again.index_base) == (g.n, g.index_base)
+        assert np.array_equal(again.edges, g.edges)
+        assert np.array_equal(again.edge_weights.view(np.int64), g.edge_weights.view(np.int64))
+        assert np.array_equal(again.weights, g.weights)
+
+    def test_rescaled_weights_reload_bit_for_bit(self):
+        g = load_edge_list("nodes 4\n0 1 2\n1 2 3\n2 3 5\n3 0 7\n0 2 0.1\n")
+        assert g.rescaled
+        again = load_edge_list(_write_edge_list(g))
+        assert np.array_equal(again.edge_weights.view(np.int64), g.edge_weights.view(np.int64))
+
+    def test_arrays_are_read_only_and_graph_is_frozen(self):
+        g = load_edge_list("nodes 3\n0 1\n1 2 0.5\n")
+        for a in (g.edges, g.edge_weights, g.degrees, g.weights, degree_summary(g).degrees):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        with pytest.raises(AttributeError):
+            g.n = 4
+
+    def test_weights_built_once_on_first_access(self):
+        g = load_edge_list("nodes 3\n0 1\n1 2 0.5\n")
+        assert g.weights is g.weights
+        assert g.weights[1, 2] == g.weights[2, 1] == 0.5
+
+    @pytest.mark.parametrize("edges, weights, message", [
+        ([(0, 3)], [1.0], "0..2"),
+        ([(-1, 1)], [1.0], "0..2"),
+        ([(1, 0)], [1.0], "u < v"),
+        ([(1, 1)], [1.0], "u < v"),
+        ([(0, 1), (0, 1)], [1.0, 1.0], "repeat"),
+        ([(0, 1)], [np.nan], "finite"),
+        ([(0, 1)], [np.inf], "finite"),
+        ([(0, 1)], [0.0], r"\(0, 1\]"),
+        ([(0, 1)], [1.5], r"\(0, 1\]"),
+        ([(0, 1)], [1.0, 1.0], "2 edge weights"),
+    ])
+    def test_from_edges_rejects(self, edges, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(3, edges, weights)
+
+    def test_from_edges_sorts_pairs(self):
+        g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)], [0.25, 0.5, 1.0])
+        assert g.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
+        assert g.edge_weights.tolist() == [1.0, 0.5, 0.25]
+        assert g.degrees.tolist() == [1.5, 1.0, 0.75, 0.25]
+
+
+class TestSizeGuard:
+    """A declared n whose dense n x n matrix exceeds physical memory is a format error."""
+
+    @pytest.mark.parametrize("load, text", [
+        (load_edge_list, "nodes 100000000\n"),
+        (load_pajek, "*Vertices 100000000\n*Edges\n1 2\n"),
+    ])
+    def test_oversized_header_rejected(self, load, text):
+        with pytest.raises(GraphFormatError, match=r"line 1: 100000000 vertices need a [\d,.]+ GiB"):
+            load(text)
+
+    def test_negative_pajek_vertex_count_rejected(self):
+        with pytest.raises(GraphFormatError, match="line 1: negative vertex count"):
+            load_pajek("*Vertices -5\n*Edges\n")
+
+    def test_desk_scale_header_accepted(self):
+        assert load_edge_list("nodes 3000\n").n == 3000
