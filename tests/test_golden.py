@@ -2,7 +2,12 @@
 
 The goldens under ``tests/golden/`` were recorded with the package's own
 CLI on karate, C(18), a rescaled weighted C4 and a graph with an isolated
-vertex, plus the ``gen`` generators. They pin every printed digit (and,
+vertex, plus the ``gen`` generators. The ``cluster`` goldens cover karate
+at k = 2 and 4 on every kind (and ``--kind A --k 2 --truth``), C(18) at
+k = 10 on every kind, ``L`` at k = 19 and ``Lrw`` at k = 27, and one run
+at ``--seed 7 --restarts 3``; each k takes whole eigenspaces, so the
+labels do not depend on the basis LAPACK picks inside a repeated
+eigenvalue. They pin every printed digit (and,
 for the commands that must fail, the error line), so an intended
 change of output has to be made here, deliberately, by regenerating:
 
@@ -18,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from graphspectra.cli import main
-from graphspectra.data import karate_net_path
+from graphspectra.data import karate_factions_path, karate_net_path
 from graphspectra.graphs import gen_graph_c
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,12 +35,16 @@ GENERATED = {"star_18": ("star", "18"), "complete_5": ("complete", "5"),
 C4_WEIGHTED = "nodes 4\n0 1 2\n1 2 3\n2 3 5\n3 0 7\n"
 # A triangle, an edge and the isolated vertex 6 (1-based): d_min = 0.
 ISOLATED = "nodes 6 base 1\n1 2\n2 3\n3 1\n4 5\n"
+# (graph, kind, k) for the cluster goldens; no k cuts a repeated eigenvalue.
+CLUSTERINGS = (*((graph, kind, k) for graph, ks in (("karate", (2, 4)), ("c18", (10,)))
+                 for k in ks for kind in ("A", "L", "Lrw")),
+               ("c18", "L", 19), ("c18", "Lrw", 27))
 # Commands that end as a domain error; their golden is the stderr line.
 FAILING = {"region_c4w"}
 
 
 def _commands() -> dict[str, list[str]]:
-    """Golden name -> argv, with {karate} / {c18} standing for the graph files."""
+    """Golden name -> argv, with {karate} / {c18} / ... standing for the input files."""
     cmds: dict[str, list[str]] = {}
     for graph in ("karate", "c18"):
         path = "{" + graph + "}"
@@ -55,6 +64,13 @@ def _commands() -> dict[str, list[str]]:
             cmds[f"{name}_{graph}"] = [name, "{" + graph + "}"]
     for name, args in GENERATED.items():
         cmds[f"gen_{name}"] = ["gen", *args]
+    for graph, kind, k in CLUSTERINGS:
+        cmds[f"cluster_{kind}_{k}_{graph}"] = [
+            "cluster", "{" + graph + "}", "--kind", kind, "--k", str(k)]
+    cmds["cluster_truth_A_2_karate"] = [
+        "cluster", "{karate}", "--kind", "A", "--k", "2", "--truth", "{truth}"]
+    cmds["cluster_seed7_restarts3_Lrw_4_karate"] = [
+        "cluster", "{karate}", "--kind", "Lrw", "--k", "4", "--seed", "7", "--restarts", "3"]
     return cmds
 
 
@@ -68,7 +84,8 @@ def _graph_files(directory: Path) -> dict[str, str]:
     c4w.write_text(C4_WEIGHTED)
     iso = directory / "iso.txt"
     iso.write_text(ISOLATED)
-    return {"karate": str(karate_net_path()), "c18": str(c18), "c4w": str(c4w), "iso": str(iso)}
+    return {"karate": str(karate_net_path()), "c18": str(c18), "c4w": str(c4w), "iso": str(iso),
+            "truth": str(karate_factions_path())}
 
 
 def _argv(name: str, files: dict[str, str]) -> list[str]:
