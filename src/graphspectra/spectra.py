@@ -22,8 +22,6 @@ from .graphs import DEGREE_TOL, Graph, degree_summary
 
 RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
-# |eigenvalue| below this counts as zero (e.g. Laplacian null space).
-ZERO_EIGENVALUE_TOL = 1e-8
 
 
 class RepresentationKind(Enum):

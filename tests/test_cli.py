@@ -238,6 +238,11 @@ class TestCluster:
         assert out["comparison"]["misplaced"] == 1
         assert out["comparison"]["misplaced_ids"] == [3]
 
+    def test_negative_seed_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "cluster", KARATE, "--kind", "A", "--k", "2", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_same_output_at_any_blas_thread_count(self, capsys, tmp_path):
         """C(18) with k = 2 takes one vector from a 9-fold eigenspace, so its
         labels depend on the exact basis the solver returns."""

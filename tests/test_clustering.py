@@ -10,8 +10,13 @@ Ground truth:
   Laplacian clusterings differ exactly on members 2, 4, 8, 14 and 20.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphspectra import (
     ClusteringResult,
@@ -19,9 +24,11 @@ from graphspectra import (
     KMeansError,
     RepresentationKind,
     cluster,
+    clustering,
     compare_clusterings,
     connected_components,
     gen_complete,
+    gen_graph_c,
     kmeans,
     spectral_embed,
 )
@@ -42,6 +49,168 @@ def cluster_sets(labels):
     for vertex, label in enumerate(labels):
         groups.setdefault(int(label), set()).add(vertex)
     return sorted(groups.values(), key=lambda s: (len(s), min(s)))
+
+
+def _reference_kmeanspp_init(points, k, rng):
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(np.searchsorted(np.cumsum(closest / total), rng.random()))
+            idx = min(idx, n - 1)
+        centers[j] = points[idx]
+        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _reference_lloyd(points, centers):
+    previous_cost = np.inf
+    labels = np.zeros(len(points), dtype=int)
+    for _ in range(clustering.MAX_LLOYD_ITERATIONS):
+        distances = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(distances, axis=1)
+        cost = float(distances[np.arange(len(points)), new_labels].sum())
+        if np.array_equal(new_labels, labels) and np.isfinite(previous_cost):
+            return labels, cost
+        labels, previous_cost = new_labels, cost
+        for j in range(len(centers)):
+            members = points[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return labels, previous_cost
+
+
+def _reference_restarts(points, k, restarts, seed):
+    """Each restart's (labels, inertia), one restart at a time."""
+    return [_reference_lloyd(points, _reference_kmeanspp_init(points, k, np.random.default_rng([seed, r])))
+            for r in range(restarts)]
+
+
+def _reference_kmeans(points, k, restarts, seed):
+    """(labels, inertia, empty clusters) of the least-inertia restart, earliest on ties."""
+    best = None
+    for labels, inertia in _reference_restarts(points, k, restarts, seed):
+        if best is None or inertia < best[1]:
+            best = (labels, inertia)
+    labels, inertia = best
+    return labels, inertia, tuple(j for j in range(k) if not np.any(labels == j))
+
+
+def _assert_matches_reference(points, k, restarts, seed):
+    centres, _ = clustering._kmeanspp_init(clustering._Points(points), k, seed, range(restarts))
+    for r in range(restarts):
+        expected = _reference_kmeanspp_init(points, k, np.random.default_rng([seed, r]))
+        assert np.array_equal(centres[r], expected)
+    result = kmeans(points, k, restarts=restarts, seed=seed)
+    labels, inertia, empty = _reference_kmeans(points, k, restarts, seed)
+    assert result.labels.dtype == labels.dtype
+    assert np.array_equal(result.labels, labels)
+    assert result.inertia == inertia  # bit for bit
+    assert result.empty_clusters == empty
+
+
+BUDGET = clustering.KMEANS_WORKING_SET_BYTES
+
+
+@st.composite
+def point_sets(draw):
+    """(points, k, restarts, seed, budget). Rows repeat a few distinct ones, so
+    duplicates are common and seeding often runs out of distinct points; grid
+    coordinates also make distances tie. Row- or column-major; the budget is
+    the default, a few restarts per block, or one restart per block."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    d = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    distinct = draw(st.integers(min_value=1, max_value=n))
+    if draw(st.booleans()):
+        base = rng.integers(-2, 3, size=(distinct, d)) / 2.0
+    else:
+        base = rng.standard_normal((distinct, d))
+    points = base[rng.integers(distinct, size=n)]
+    if draw(st.booleans()):
+        points = np.asfortranarray(points)
+    k = draw(st.integers(min_value=1, max_value=n))
+    restarts = draw(st.integers(min_value=1, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=2**63))
+    budget = draw(st.sampled_from([BUDGET, 20_000, 0]))
+    return points, k, restarts, seed, budget
+
+
+class TestBatchedRestarts:
+    """Restarts run in blocks; labels, inertia and empty clusters stay those
+    of the one-restart-at-a-time loop kept above as the reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(point_sets())
+    # Three distinct points and k = 5: seeding runs out of distinct points.
+    @example((np.repeat(np.eye(3), 3, axis=0), 5, 7, 42, BUDGET))
+    # Squared differences underflow to 0, so seeding draws integers while the
+    # points it picks still differ.
+    @example((np.array([[0.0], [1e-200], [3e-200], [7e-200]]), 4, 5, 42, BUDGET))
+    # One coordinate: numpy sums a cluster's members pairwise.
+    @example((np.random.default_rng(5).standard_normal((12, 1)), 1, 1, 0, BUDGET))
+    # Column-major: numpy sums each distance one coordinate after the other.
+    @example((np.asfortranarray(np.random.default_rng(4).standard_normal((20, 9))), 2, 3, 0, BUDGET))
+    def test_matches_one_restart_at_a_time(self, case):
+        points, k, restarts, seed, budget = case
+        with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
+            _assert_matches_reference(points, k, restarts, seed)
+
+    def test_several_blocks(self):
+        """n = 68 and k = d = 59, the size of the C(50) Lrw clustering."""
+        points = np.random.default_rng(11).standard_normal((68, 59))
+        assert clustering._block_size(clustering._Points(points), 59) < 50
+        _assert_matches_reference(points, 59, 50, 42)
+
+    @pytest.mark.parametrize("kind, k", [(A, 10), (L, 19), (LRW, 27)])
+    def test_embeddings(self, graph_c18, kind, k):
+        """The adjacency embedding is column-major, the others row-major."""
+        points = spectral_embed(graph_c18, kind, k).points
+        _assert_matches_reference(points, k, 50, 42)
+
+    def test_tie_goes_to_earliest_restart_across_blocks(self):
+        """Every restart finds the same two groups with the same inertia, bit
+        for bit, but numbers them by where its seeding started."""
+        points = np.array([[0.0, 0.0], [0.3, 0.1], [0.1, 0.4], [9.0, 9.0], [9.2, 8.7]])
+        runs = _reference_restarts(points, 2, 6, 3)
+        assert len({inertia for _, inertia in runs}) == 1
+        assert any(not np.array_equal(labels, runs[0][0]) for labels, _ in runs[1:])
+        for budget in (0, BUDGET):  # one restart per block, one block
+            with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
+                assert np.array_equal(kmeans(points, 2, restarts=6, seed=3).labels, runs[0][0])
+
+
+    def test_empty_cluster_keeps_its_centre(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 2.0]])
+        centres = np.array([[[0.0, 1.0], [5.0, 5.0], [9.0, 9.0]]])
+        means = clustering._cluster_means(points, np.array([[0, 0, 2]]), centres)
+        assert np.array_equal(means, [[[0.5, 0.0], [5.0, 5.0], [4.0, 2.0]]])
+
+
+def _kmeans_peak_bytes(points, k, restarts):
+    kmeans(np.eye(3), 2)  # numpy.random loads on first use; keep it out of the peak
+    tracemalloc.start()
+    try:
+        kmeans(points, k, restarts=restarts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKmeansMemory:
+    def test_c50_lrw_stays_within_budget(self):
+        points = spectral_embed(gen_graph_c(50), LRW, 59)
+        assert _kmeans_peak_bytes(points, 59, 50) <= clustering.KMEANS_WORKING_SET_BYTES
+
+    def test_peak_does_not_grow_with_restarts(self):
+        points = np.random.default_rng(4).standard_normal((80, 40))
+        assert clustering._block_size(clustering._Points(points), 40) < 50
+        assert _kmeans_peak_bytes(points, 40, 150) <= 1.1 * _kmeans_peak_bytes(points, 40, 50)
 
 
 class TestSpectralEmbed:
@@ -123,6 +292,11 @@ class TestKmeans:
     def test_restarts_must_be_positive(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 2, restarts=0)
+
+    def test_negative_seed_is_named_error(self):
+        """Checked before anything else, here before the out-of-range k."""
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            kmeans(np.zeros((3, 2)), 4, seed=-1)
 
 
 class TestCluster:

@@ -29,7 +29,7 @@ from graphspectra import (
     spectral_support,
     spectrum,
 )
-from graphspectra.spectra import ZERO_EIGENVALUE_TOL, _validate_pairs
+from graphspectra.spectra import _validate_pairs
 
 A = RepresentationKind.ADJACENCY
 L = RepresentationKind.LAPLACIAN
@@ -234,7 +234,7 @@ class TestSpectralProperties:
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(3, 10)), p=0.35)
             lam = spectrum(g, L).values
-            zeros = int((np.abs(lam) < ZERO_EIGENVALUE_TOL).sum())
+            zeros = int((np.abs(lam) < 1e-8).sum())
             assert zeros == connected_components(g).component_count
 
     def test_random_spectra_inside_gershgorin_support(self):
