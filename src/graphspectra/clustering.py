@@ -28,8 +28,9 @@ from .spectra import RepresentationKind, eigensystem
 DEFAULT_SEED = 42
 DEFAULT_RESTARTS = 50
 MAX_LLOYD_ITERATIONS = 300
-# Bytes of temporaries a block of k-means restarts may hold; n, k and d set
-# how many restarts that is.
+# Bytes k-means may hold at once: the distances between points, while
+# they fit a quarter of it, and a block of restarts, as many as n, k and
+# d leave room for. The restart count never sets the block.
 KMEANS_WORKING_SET_BYTES = 2 * 1024 * 1024
 
 
@@ -185,7 +186,9 @@ def _cluster_means(data: np.ndarray, labels: np.ndarray, centres: np.ndarray) ->
     return sums.reshape(m, k, d)
 
 
-def _kmeans_block(points: _Points, k: int, seed: int, block: range) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans_block(
+    points: _Points, k: int, seed: int, block: range
+) -> tuple[np.ndarray, np.ndarray]:
     """Seed, then run Lloyd's iterations on a block of restarts in lockstep.
 
     Returns each restart's labels (m, n) and inertia (m,). A restart leaves

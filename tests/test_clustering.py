@@ -184,7 +184,6 @@ class TestBatchedRestarts:
             with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
                 assert np.array_equal(kmeans(points, 2, restarts=6, seed=3).labels, runs[0][0])
 
-
     def test_empty_cluster_keeps_its_centre(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 2.0]])
         centres = np.array([[[0.0, 1.0], [5.0, 5.0], [9.0, 9.0]]])
