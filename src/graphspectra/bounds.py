@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import DEGREE_TOL, DegreeSummary, Graph, class_tag, degree_summary
+from .graphs import DegreeSummary, Graph, class_tag, degree_summary
 from .spectra import (
     RepresentationKind,
     Spectrum,
@@ -34,6 +34,11 @@ from .spectra import (
 BOUND_SLACK = 1e-9
 DEFAULT_CROSSOVER_TOL = 1e-6
 DEFAULT_MERGE_TOL = 1e-12
+# Divided-difference levels at most this wide run as float arithmetic on
+# lists: below it a numpy call per level costs more than the arithmetic.
+_SCALAR_LEVEL_WIDTH = 20
+# Values of the x - node factor table newton_eval holds at once (256 KiB).
+_FACTOR_BLOCK = 1 << 15
 
 
 class Transform(Enum):
@@ -231,7 +236,7 @@ def eigenvalue_bound_set(ds: DegreeSummary) -> BoundSet:
     """
     diff = ds.d_max - ds.d_min
     e_al = diff / 2
-    if ds.d_min <= DEGREE_TOL:
+    if ds.d_min == 0:  # a sum of positive weights is 0 only for an isolated vertex
         return BoundSet(e_al=e_al, e_llrw=None, e_alrw=None, e_prime_alrw=None)
     total = ds.d_max + ds.d_min
     e_llrw = 2 * diff / total
@@ -346,15 +351,16 @@ def detect_maximal_crossover(
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"crossover tolerance must be finite and positive, got {tol}")
-    diffs = np.asarray(diffs, dtype=float)
-    indices: list[int] = []
+    d = np.asarray(diffs, dtype=float).tolist()
+    indices: tuple[int, ...] = ()
     if bound > 0.0:
-        attains = np.abs(diffs) >= bound - tol
-        for i in range(len(diffs) - 1):
-            opposite = diffs[i] < 0.0 < diffs[i + 1] or diffs[i + 1] < 0.0 < diffs[i]
-            if attains[i] and attains[i + 1] and opposite:
-                indices.append(i + 1)
-    return CrossoverReport(indices=tuple(indices), tolerance=tol, bound=bound)
+        # Python floats compare as numpy's float64 do, without a numpy call per pair.
+        floor = bound - tol
+        indices = tuple(
+            i for i, (a, b) in enumerate(zip(d, d[1:]), start=1)
+            if (a < 0.0 < b or b < 0.0 < a) and abs(a) >= floor and abs(b) >= floor
+        )
+    return CrossoverReport(indices=indices, tolerance=tol, bound=bound)
 
 
 def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
@@ -443,18 +449,48 @@ def weyl_check(g: Graph) -> WeylReport:
 
 
 def _newton_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    coef = y.astype(float).copy()
-    for j in range(1, len(x)):
-        coef[j:] = (coef[j:] - coef[j - 1 : -1]) / (x[j:] - x[: -j])
-    return coef
+    """Divided differences f[x_0..x_j] of y over strictly increasing nodes x.
+
+    Level j of the table is (v[t+1] - v[t]) / (x[t+j] - x[t]) over level
+    j - 1, and its first entry is coefficient j. Levels wider than
+    ``_SCALAR_LEVEL_WIDTH`` take one numpy step each; the narrower rest do
+    the same IEEE operations on Python floats, which beats a numpy call per
+    level at those widths. The nodes are distinct, so no divisor is zero.
+    """
+    m = len(x)
+    split = max(1, m - _SCALAR_LEVEL_WIDTH)
+    level = np.asarray(y, dtype=float)
+    coef = [level[0]]
+    for j in range(1, split):
+        level = (level[1:] - level[:-1]) / (x[j:] - x[:-j])
+        coef.append(level[0])
+    level, xs = level.tolist(), x.tolist()
+    for j in range(split, m):
+        level = [(b - a) / (xi - xk) for a, b, xi, xk in zip(level, level[1:], xs[j:], xs)]
+        coef.append(level[0])
+    return np.array(coef)
 
 
 def newton_eval(nodes: np.ndarray, coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate a Newton-form polynomial at x (Horner over the node basis)."""
+    """Evaluate a Newton-form polynomial at x of any shape (Horner over the node basis).
+
+    Each step is acc = acc * (x - node) + c, from the last coefficient
+    down. The factors x - node of a block of nodes come from one
+    subtraction, with at most ``_FACTOR_BLOCK`` values per block, and acc
+    is updated in place: two numpy calls per node, whatever the shape of x.
+    Overflow follows IEEE arithmetic (inf, then NaN from inf - inf) and
+    warns as numpy does.
+    """
     x = np.asarray(x, dtype=float)
     acc = np.full_like(x, coefficients[-1])
-    for c, node in zip(coefficients[-2::-1], nodes[-2::-1]):
-        acc = acc * (x - node) + c
+    rows = max(1, _FACTOR_BLOCK // max(1, x.size))
+    column = (-1,) + (1,) * x.ndim
+    for top in range(len(nodes) - 1, 0, -rows):
+        block = slice(max(0, top - rows), top)
+        factors = np.subtract(x, nodes[block][::-1].reshape(column))
+        for factor, c in zip(factors, coefficients[block][::-1].tolist()):
+            acc *= factor
+            acc += c
     return acc
 
 
@@ -467,6 +503,19 @@ def polynomial_spectrum_map(
     sorted sequence) are merged into one interpolation node. If a merged
     cluster's target values span more than ``merge_tol`` the map is
     numerically degenerate and reported unstable instead of fitted.
+
+    Otherwise the Newton form is fitted on the merged nodes and evaluated
+    at every source value for the residual. For n values and m nodes the
+    work is O(n log n) to sort and merge, O(m^2) divided differences and
+    O(n m) evaluation. At the n <= 64 of a desk-scale graph the cost is
+    numpy call overhead, so the table's narrow levels run as float
+    arithmetic and the evaluation takes two numpy calls per node. Every
+    field is the same, bit for bit, as evaluating the textbook recurrences
+    level by level.
+
+    The fit runs in IEEE arithmetic without warnings: when the divided
+    differences or the evaluation overflow, coefficients and residual
+    carry inf, and NaN where inf - inf arises, rather than raising.
     """
     if not (np.isfinite(merge_tol) and merge_tol >= 0):
         raise ValueError(f"merge tolerance must be finite and non-negative, got {merge_tol}")
@@ -477,36 +526,28 @@ def polynomial_spectrum_map(
     order = np.argsort(src.values, kind="stable")
     x = src.values[order]
     y = dst.values[order]
-    input_gaps = np.diff(x)
-    min_input_gap = float(input_gaps.min()) if len(input_gaps) else None
-
-    clusters: list[tuple[int, int]] = []  # [start, end) over the sorted arrays
-    start = 0
-    for i in range(1, len(x)):
-        if x[i] - x[i - 1] > merge_tol:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, len(x)))
-
-    worst_span = 0.0
-    for lo, hi in clusters:
-        if hi - lo > 1:
-            span = float(y[lo:hi].max() - y[lo:hi].min())
-            worst_span = max(worst_span, span)
-    if worst_span > merge_tol:
-        return PolyMapReport(
-            unstable=True,
-            min_input_gap=min_input_gap,
-            output_span_over_degenerate_inputs=worst_span,
-            nodes=None,
-            coefficients=None,
-            max_residual=None,
-        )
-
-    nodes = np.array([x[lo] for lo, _ in clusters])
-    targets = np.array([y[lo] for lo, _ in clusters])
-    coefficients = _newton_coefficients(nodes, targets)
-    residual = float(np.abs(newton_eval(nodes, coefficients, x) - y).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        input_gaps = np.diff(x)
+        min_input_gap = float(input_gaps.min()) if len(input_gaps) else None
+        # A cluster starts wherever the sorted values step by more than merge_tol.
+        starts = np.flatnonzero(np.concatenate(([True], input_gaps > merge_tol)))
+        worst_span = 0.0
+        if len(starts) < len(x):
+            spans = np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)
+            # Only positive spans count: a single value spans 0, and NaN is skipped.
+            worst_span = float(spans[spans > 0.0].max(initial=0.0))
+        if worst_span > merge_tol:
+            return PolyMapReport(
+                unstable=True,
+                min_input_gap=min_input_gap,
+                output_span_over_degenerate_inputs=worst_span,
+                nodes=None,
+                coefficients=None,
+                max_residual=None,
+            )
+        nodes = x[starts]
+        coefficients = _newton_coefficients(nodes, y[starts])
+        residual = float(np.abs(newton_eval(nodes, coefficients, x) - y).max())
     return PolyMapReport(
         unstable=False,
         min_input_gap=min_input_gap,

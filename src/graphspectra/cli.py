@@ -85,6 +85,13 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serialisable: {type(obj)!r}")
 
 
+def _json_float(x: float):
+    """x itself when finite, else its name: strict JSON has no inf or NaN."""
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
 
@@ -354,8 +361,9 @@ def _cmd_polymap(args) -> int:
         "min_input_gap": report.min_input_gap,
         "output_span_over_degenerate_inputs": report.output_span_over_degenerate_inputs,
         "nodes": None if report.nodes is None else report.nodes.tolist(),
-        "coefficients": None if report.coefficients is None else report.coefficients.tolist(),
-        "max_residual": report.max_residual,
+        "coefficients": (None if report.coefficients is None
+                         else [_json_float(c) for c in report.coefficients.tolist()]),
+        "max_residual": None if report.max_residual is None else _json_float(report.max_residual),
     })
     return 0
 

@@ -252,7 +252,8 @@ def kmeans(
     Each restart r draws from ``numpy.random.default_rng([seed, r])``, so
     results are reproducible and independent of execution order; the
     restart with minimal inertia wins, earliest restart on ties. Restarts
-    run in blocks, with the same arithmetic as one at a time.
+    run in blocks, with the same arithmetic as one at a time. Points must
+    be finite.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -265,6 +266,8 @@ def kmeans(
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("points must be finite (found NaN or inf)")
     points = _Points(data)
     size = _block_size(points, k)
     best: Optional[tuple[np.ndarray, float]] = None

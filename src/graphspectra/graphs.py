@@ -15,8 +15,8 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-# Degrees are floating-point sums; degrees within this of each other (or of
-# zero) are treated as equal (resp. zero).
+# Degrees are floating-point sums; degrees within this of each other are
+# treated as equal.
 DEGREE_TOL = 1e-12
 
 TextSource = Union[str, IO[str]]
@@ -32,11 +32,11 @@ class Graph:
 
     A graph is its edge list: row i of ``edges`` is an upper-triangle pair
     u < v, rows in lexicographic order without repeats, and
-    ``edge_weights[i]`` its weight. The degree vector is computed from them
-    once, at construction. ``Graph(n, weights)`` takes a dense symmetric
-    matrix and derives the edges from it; :meth:`from_edges` takes the edge
-    arrays directly and never builds the n x n ``weights`` matrix, which is
-    then assembled on first access.
+    ``edge_weights[i]`` its weight. The degree vector and its extremes are
+    computed from them once, at construction. ``Graph(n, weights)`` takes a
+    dense symmetric matrix and derives the edges from it;
+    :meth:`from_edges` takes the edge arrays directly and never builds the
+    n x n ``weights`` matrix, which is then assembled on first access.
 
     ``rescaled`` is set by the loaders when weights above 1 were divided
     by the maximum weight. Instances are immutable; every array is marked
@@ -50,6 +50,7 @@ class Graph:
     index_base: int
     rescaled: bool
     _weights: Optional[np.ndarray] = field(repr=False)
+    _summary: DegreeSummary = field(repr=False)
     # RepresentationKind -> Spectrum, filled by spectra.spectrum.
     _spectra: dict = field(repr=False)
 
@@ -115,9 +116,14 @@ class Graph:
         for a in (edges, edge_weights, degrees, weights):
             if a is not None:
                 a.setflags(write=False)
+        if n:
+            summary = DegreeSummary(degrees, float(degrees.min()), float(degrees.max()))
+        else:
+            summary = DegreeSummary(degrees, 0.0, 0.0)
         for name, value in (("n", n), ("edges", edges), ("edge_weights", edge_weights),
                             ("degrees", degrees), ("index_base", index_base),
-                            ("rescaled", rescaled), ("_weights", weights), ("_spectra", {})):
+                            ("rescaled", rescaled), ("_weights", weights),
+                            ("_summary", summary), ("_spectra", {})):
             object.__setattr__(self, name, value)
 
     @property
@@ -340,11 +346,11 @@ def load_pajek(source: TextSource) -> Graph:
 
 
 def degree_summary(g: Graph) -> DegreeSummary:
-    """The graph's (read-only) weighted degrees together with d_min and d_max."""
-    degrees = g.degrees
-    if g.n == 0:
-        return DegreeSummary(degrees=degrees, d_min=0.0, d_max=0.0)
-    return DegreeSummary(degrees=degrees, d_min=float(degrees.min()), d_max=float(degrees.max()))
+    """The graph's (read-only) weighted degrees together with d_min and d_max.
+
+    Computed once, when the graph is built, and shared by every call.
+    """
+    return g._summary
 
 
 def connected_components(g: Graph) -> ComponentLabeling:

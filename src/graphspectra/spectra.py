@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import DEGREE_TOL, Graph, degree_summary
+from .graphs import Graph, degree_summary
 
 RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
@@ -88,7 +88,7 @@ def build_matrix(g: Graph, kind: RepresentationKind) -> RepMatrix:
     if kind is RepresentationKind.LAPLACIAN:
         return RepMatrix(kind=kind, entries=lap, sym_surrogate=False)
     if kind is RepresentationKind.NORMALIZED_LAPLACIAN:
-        if ds.d_min <= DEGREE_TOL:
+        if ds.d_min == 0.0:  # degrees sum positive weights: exactly 0 when isolated
             raise UndefinedRepresentationError(
                 "normalised Laplacian is undefined for d_min = 0 (isolated vertex)"
             )

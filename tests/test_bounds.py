@@ -9,8 +9,16 @@ Ground truth used below:
 - C(18) A/L differences: +8, -8 x 18, +8 x 17 -> crossovers at 1 and 19
 """
 
+import dataclasses
+import math
+import warnings
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphspectra import (
     Graph,
@@ -38,8 +46,10 @@ from graphspectra import (
     transform_params,
     weyl_check,
 )
-from graphspectra.bounds import newton_eval
+from graphspectra import bounds
+from graphspectra.bounds import DEFAULT_MERGE_TOL, PolyMapReport, newton_eval
 from graphspectra.graphs import DegreeSummary
+from graphspectra.spectra import Spectrum
 
 A = RepresentationKind.ADJACENCY
 L = RepresentationKind.LAPLACIAN
@@ -140,6 +150,15 @@ class TestEigenvalueBoundSet:
         b = eigenvalue_bound_set(summary(0, 3))
         assert b.e_al == 1.5
         assert b.e_llrw is None and b.e_alrw is None and b.e_prime_alrw is None
+
+    def test_isolation_is_exact_on_fractions(self):
+        """Only d_min = 0 drops the Lrw bounds, however small d_min is."""
+        zero = eigenvalue_bound_set(DegreeSummary(degrees=np.zeros(2), d_min=Fraction(0),
+                                                  d_max=Fraction(3)))
+        assert zero.e_al == Fraction(3, 2) and zero.e_llrw is None
+        tiny = eigenvalue_bound_set(DegreeSummary(degrees=np.zeros(2), d_min=Fraction(1, 10**13),
+                                                  d_max=Fraction(2, 10**13)))
+        assert (tiny.e_llrw, tiny.e_alrw) == (Fraction(2, 3), Fraction(1))
 
     def test_ranges(self):
         for j in range(1, 21):
@@ -427,6 +446,200 @@ class TestPolynomialSpectrumMap:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             polynomial_spectrum_map(spectrum(path3(), L), spectrum(gen_complete(4), L))
+
+
+def _spec(values):
+    """A Spectrum holding arbitrary values; only ``values`` matters to the map."""
+    return Spectrum(kind=L, values=np.asarray(values, dtype=float), support=(0.0, 1.0),
+                    support_length=1.0)
+
+
+def _reference_newton_coefficients(x, y):
+    coef = y.astype(float).copy()
+    for j in range(1, len(x)):
+        coef[j:] = (coef[j:] - coef[j - 1 : -1]) / (x[j:] - x[: -j])
+    return coef
+
+
+def _reference_newton_eval(nodes, coefficients, x):
+    x = np.asarray(x, dtype=float)
+    acc = np.full_like(x, coefficients[-1])
+    for c, node in zip(coefficients[-2::-1], nodes[-2::-1]):
+        acc = acc * (x - node) + c
+    return acc
+
+
+def _reference_polymap(src, dst, merge_tol):
+    """The map as the textbook loops compute it: merge loop, table by levels, Horner."""
+    order = np.argsort(src.values, kind="stable")
+    x = src.values[order]
+    y = dst.values[order]
+    input_gaps = np.diff(x)
+    min_input_gap = float(input_gaps.min()) if len(input_gaps) else None
+    clusters = []
+    start = 0
+    for i in range(1, len(x)):
+        if x[i] - x[i - 1] > merge_tol:
+            clusters.append((start, i))
+            start = i
+    clusters.append((start, len(x)))
+    worst_span = 0.0
+    for lo, hi in clusters:
+        if hi - lo > 1:
+            worst_span = max(worst_span, float(y[lo:hi].max() - y[lo:hi].min()))
+    if worst_span > merge_tol:
+        return PolyMapReport(True, min_input_gap, worst_span, None, None, None)
+    nodes = np.array([x[lo] for lo, _ in clusters])
+    targets = np.array([y[lo] for lo, _ in clusters])
+    coefficients = _reference_newton_coefficients(nodes, targets)
+    residual = float(np.abs(_reference_newton_eval(nodes, coefficients, x) - y).max())
+    return PolyMapReport(False, min_input_gap, worst_span, nodes, coefficients, residual)
+
+
+def _reference_crossover(diffs, bound, tol):
+    diffs = np.asarray(diffs, dtype=float)
+    indices = []
+    if bound > 0.0:
+        attains = np.abs(diffs) >= bound - tol
+        for i in range(len(diffs) - 1):
+            opposite = diffs[i] < 0.0 < diffs[i + 1] or diffs[i + 1] < 0.0 < diffs[i]
+            if attains[i] and attains[i + 1] and opposite:
+                indices.append(i + 1)
+    return tuple(indices)
+
+
+def _bits(value):
+    """Type, dtype, shape and bytes: floats compare bit for bit, NaN by its pattern."""
+    if value is None or isinstance(value, bool):
+        return value
+    a = np.asarray(value)
+    return type(value), a.dtype.str, a.shape, a.tobytes()
+
+
+def _assert_polymap_matches_reference(x, y, merge_tol):
+    src, dst = _spec(x), _spec(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference warns on overflow
+        expected = _reference_polymap(src, dst, merge_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the map itself must not warn
+        report = polynomial_spectrum_map(src, dst, merge_tol=merge_tol)
+    for field in dataclasses.fields(PolyMapReport):
+        assert _bits(getattr(report, field.name)) == _bits(getattr(expected, field.name)), field.name
+
+
+WIDTH = bounds._SCALAR_LEVEL_WIDTH
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """(x, y, merge_tol), shuffled. The count runs across the width at which the
+    divided differences switch from numpy steps to float arithmetic. Values are
+    spread; repeat exactly, so nodes merge, with targets that agree or not; sit
+    within a few merge tolerances of each other; or lie so close together under
+    alternating targets that the fit overflows to inf and then NaN."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = int(rng.integers(1, 2 * WIDTH + 9))
+    shape = draw(st.sampled_from(["spread", "repeats", "near", "overflow"]))
+    if shape == "spread":
+        x, y = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)
+    elif shape == "repeats":
+        x = rng.choice(rng.uniform(-3, 3, max(1, n // 3)), n)
+        y = x**2 if draw(st.booleans()) else rng.uniform(-3, 3, n)
+    elif shape == "near":
+        x = np.sort(rng.uniform(-3, 3, n)) + rng.choice([0.0, 1e-13, 5e-13, 2e-12], n)
+        y = np.sin(x) + rng.choice([0.0, 1e-13], n)
+    else:
+        x = np.arange(n) * 10.0 ** -rng.uniform(1, 8)
+        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0, 300)
+    order = rng.permutation(n)
+    merge_tol = draw(st.sampled_from([0.0, DEFAULT_MERGE_TOL, 1e-6, 0.5, 1e300]))
+    return x[order], y[order], merge_tol
+
+
+class TestPolymapMatchesReference:
+    """The merged nodes, divided differences and Horner evaluation give every
+    PolyMapReport field of the textbook loops kept above, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(spectrum_pairs())
+    @example((np.array([0.5]), np.array([2.0]), DEFAULT_MERGE_TOL))
+    @example((np.array([1.0, 0.0]), np.array([3.0, -1.0]), 0.0))
+    # Exact repeats merge at merge_tol 0; a near repeat merges only under a large one.
+    @example((np.array([1.0, 1.0, 2.0, 2.0 + 1e-9]), np.array([5.0, 5.0, 7.0, 7.0]), 0.0))
+    @example((np.array([1.0, 1.0, 2.0, 2.0 + 1e-9]), np.array([5.0, 6.0, 7.0, 7.0]), 1e300))
+    # A NaN target in a merged cluster spans NaN, which counts as no span.
+    @example((np.array([1.0, 1.0, 2.0]), np.array([math.nan, 1.0, 3.0]), 0.0))
+    # Coefficients overflow to inf, then inf - inf gives NaN.
+    @example((np.arange(60) * 1e-8, (-1.0) ** (np.arange(60) // 2), DEFAULT_MERGE_TOL))
+    def test_every_field_bit_for_bit(self, case):
+        _assert_polymap_matches_reference(*case)
+
+    @pytest.mark.parametrize("n", [WIDTH, WIDTH + 1, WIDTH + 2, 3 * WIDTH])
+    def test_widths_around_the_switch(self, n):
+        rng = np.random.default_rng(n)
+        _assert_polymap_matches_reference(np.sort(rng.uniform(-2, 2, n)), rng.uniform(0, 4, n),
+                                          DEFAULT_MERGE_TOL)
+
+    def test_spectra_of_named_graphs(self, karate, star18, bipartite_b, graph_c18):
+        for g in (karate, star18, bipartite_b, graph_c18, path3(), gen_complete(5)):
+            for source, target, _ in bounds.PAIR_SPECTRA.values():
+                for merge_tol in (0.0, DEFAULT_MERGE_TOL, 1e-6):
+                    _assert_polymap_matches_reference(spectrum(g, source).values,
+                                                      spectrum(g, target).values, merge_tol)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 5), (2, 3, 4)])
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    @pytest.mark.parametrize("block", [bounds._FACTOR_BLOCK, 1, 7])
+    def test_newton_eval_on_any_shape(self, shape, m, block):
+        """One block of factors or several, for x of any shape."""
+        rng = np.random.default_rng(m)
+        nodes, coefficients = np.sort(rng.uniform(-2, 2, m)), rng.uniform(-1, 1, m)
+        x = rng.uniform(-3, 3, shape)
+        with mock.patch.object(bounds, "_FACTOR_BLOCK", block):
+            got = newton_eval(nodes, coefficients, x)
+        expected = _reference_newton_eval(nodes, coefficients, x)
+        assert got.shape == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+class TestPolymapOverflow:
+    """A fit that overflows is reported in IEEE values, without a numpy warning."""
+
+    def test_coefficients_overflow_to_inf_and_nan(self):
+        x = np.arange(60) * 1e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = polynomial_spectrum_map(_spec(x), _spec((-1.0) ** (np.arange(60) // 2)))
+        assert not report.unstable
+        assert np.isposinf(report.coefficients).any() or np.isneginf(report.coefficients).any()
+        assert np.isnan(report.coefficients).any()
+        assert math.isnan(report.max_residual)
+
+    def test_finite_coefficients_whose_evaluation_overflows(self):
+        """Targets near the largest float: the divided differences stay finite,
+        Horner's partial sums at the far nodes do not."""
+        x = np.arange(12.0)
+        y = np.where(np.arange(12) % 2 == 0, 1e306, -1e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = polynomial_spectrum_map(_spec(x), _spec(y))
+        assert np.all(np.isfinite(report.coefficients))
+        assert not math.isfinite(report.max_residual)
+
+
+class TestCrossoverMatchesReference:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.nan])
+                 | st.floats(min_value=-3, max_value=3), max_size=40),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.sampled_from([1e-9, 1e-6, 0.5, 1.0]),
+    )
+    def test_indices_match_the_pairwise_loop(self, diffs, bound, tol):
+        """Zeros are neither sign, and NaN attains nothing."""
+        report = detect_maximal_crossover(np.array(diffs), bound, tol=tol)
+        assert report.indices == _reference_crossover(diffs, bound, tol)
 
 
 class TestTransformProperties:

@@ -1,17 +1,19 @@
 """Command-line surface: output formats, exit codes, round trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphspectra
-from graphspectra import load_edge_list
+from graphspectra import cli, load_edge_list
 from graphspectra.cli import main
 from graphspectra.data import karate_factions_path, karate_net_path
 
@@ -22,6 +24,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def run_json(capsys, *argv):
@@ -113,6 +119,14 @@ class TestBoundsAndGaps:
         assert out["bounds"]["e_LLrw"] is None
         assert out["pairs"]["L_Lrw"] is None
         assert out["rendered"].startswith("(0.50, ")
+
+    def test_tiny_weights_keep_the_lrw_pairs(self, capsys, tmp_path):
+        """A vertex is isolated only at degree 0, however small the weights."""
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("nodes 3\n0 1 1e-13\n1 2 1e-13\n")
+        out = run_json(capsys, "bounds", str(graph_file))
+        assert out["bounds"]["e_LLrw"] == pytest.approx(2 / 3)
+        assert out["pairs"]["L_Lrw"]["within_bound"] and out["pairs"]["A_Lrw"]["within_bound"]
 
     @pytest.mark.parametrize("gen,rendered", [(("star", "16"), "(7.00, 1.75, 2.63)"),
                                               (("graphc", "18"), "(8.00, 1.78, 2.67)")])
@@ -341,12 +355,27 @@ class TestCrossoverPolymapWeyl:
         code, out, err = run(capsys, "polymap", str(graph_file), "--pair", "A_L")
         assert code == 0, err
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        parsed = json.loads(out, parse_constant=reject)
+        parsed = json.loads(out, parse_constant=_reject_constant)
         assert parsed["min_input_gap"] is None
         assert parsed["unstable"] is False
+
+    def test_polymap_overflow_is_strict_json(self, capsys, tmp_path):
+        """On the 1000-vertex path the fitted polynomial overflows where it is
+        evaluated: exit 0, no numpy warning, the residual named in a string."""
+        graph_file = tmp_path / "path.txt"
+        graph_file.write_text("nodes 1000\n" + "".join(f"{i} {i + 1}\n" for i in range(999)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "polymap", str(graph_file), "--pair", "A_L")
+        assert (code, err) == (0, "")
+        parsed = json.loads(out, parse_constant=_reject_constant)
+        assert parsed["unstable"] is False
+        assert parsed["max_residual"] == "Infinity"
+        assert len(parsed["coefficients"]) == 1000
+
+    def test_non_finite_floats_are_named(self):
+        assert [cli._json_float(v) for v in (1.5, -0.0, math.inf, -math.inf, math.nan)] == [
+            1.5, -0.0, "Infinity", "-Infinity", "NaN"]
 
     def test_weyl_karate(self, capsys):
         out = run_json(capsys, "weyl", KARATE)

@@ -292,6 +292,17 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 2, restarts=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_named_error(self, monkeypatch, bad):
+        """Rejected before any restart runs; NaN used to give labels [0 0 0]
+        and inertia nan after 300 Lloyd iterations per restart."""
+        def no_work(*args):
+            raise AssertionError("k-means ran on non-finite points")
+
+        monkeypatch.setattr(clustering, "_kmeans_block", no_work)
+        with pytest.raises(ValueError, match=r"^points must be finite \(found NaN or inf\)$"):
+            kmeans(np.array([[bad, 0.0], [1.0, 1.0], [2.0, 2.0]]), 2, restarts=5)
+
     def test_negative_seed_is_named_error(self):
         """Checked before anything else, here before the out-of-range k."""
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):

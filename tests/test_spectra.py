@@ -25,6 +25,7 @@ from graphspectra import (
     gen_graph_c,
     gen_star,
     is_d_regular,
+    load_edge_list,
     normalized_eigengaps,
     spectral_support,
     spectrum,
@@ -70,6 +71,11 @@ class TestBuildMatrix:
         g = Graph(n=3, weights=np.zeros((3, 3)))
         with pytest.raises(UndefinedRepresentationError):
             build_matrix(g, LRW)
+
+    def test_tiny_degrees_are_not_isolated(self):
+        """P3 with both weights 1e-13 has the Lrw spectrum of P3: {0, 1, 2}."""
+        g = load_edge_list("nodes 3\n0 1 1e-13\n1 2 1e-13\n")
+        np.testing.assert_allclose(spectrum(g, LRW).values, [0.0, 1.0, 2.0], atol=1e-12)
 
     def test_entries_exactly_symmetric(self, karate):
         for kind in ALL_KINDS:
