@@ -233,7 +233,15 @@ def eigenvalue_bound_set(ds: DegreeSummary) -> BoundSet:
     e'(A,Lrw) = e(A,Lrw) when d_max <= 5 d_min, else 2 (degenerate transform).
 
     Integer coefficients keep the result exact when the extremes are Fractions.
+    Computed once per summary, which is immutable.
     """
+    bounds = ds._memo.get("eigenvalue")
+    if bounds is None:
+        bounds = ds._memo["eigenvalue"] = _eigenvalue_bounds(ds)
+    return bounds
+
+
+def _eigenvalue_bounds(ds: DegreeSummary) -> BoundSet:
     diff = ds.d_max - ds.d_min
     e_al = diff / 2
     if ds.d_min == 0:  # a sum of positive weights is 0 only for an isolated vertex
@@ -251,7 +259,16 @@ def gap_bound_set(ds: DegreeSummary) -> GapBoundSet:
     g(A,L)   = (d_max - d_min)/(2 d_max)
     g(L,Lrw) = 2 (d_max - d_min)/d_max        g'(L,Lrw) = e(L,Lrw)
     g(A,Lrw) = (5/2)(d_max - d_min)/d_max     g'(A,Lrw) = e'(A,Lrw)
+
+    Computed once per summary, which is immutable.
     """
+    bounds = ds._memo.get("gap")
+    if bounds is None:
+        bounds = ds._memo["gap"] = _gap_bounds(ds)
+    return bounds
+
+
+def _gap_bounds(ds: DegreeSummary) -> GapBoundSet:
     if ds.d_max <= 0:
         raise ValueError("gap bounds need d_max > 0")
     diff = ds.d_max - ds.d_min

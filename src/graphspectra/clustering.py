@@ -300,17 +300,79 @@ def cluster(
     return kmeans(spectral_embed(g, kind, k), k, restarts=restarts, seed=seed)
 
 
+def _max_weight_assignment(weights: np.ndarray) -> tuple[list[int], list[int]]:
+    """Rows and columns of a maximum-weight assignment, as scipy assigns them.
+
+    Runs the shortest augmenting path algorithm of Crouse (IEEE Trans.
+    Aerosp. Electron. Syst. 52(4), 2016) the way
+    ``scipy.optimize.linear_sum_assignment(weights, maximize=True)`` runs
+    it: on the negated weights, transposed when there are more rows than
+    columns, with the columns still to scan listed in reverse order and
+    taken out by moving the last one into the gap, and a tie at the
+    shortest distance going to a column not yet assigned. The weights are
+    a 2-d integer array, so every sum is exact and the result is scipy's,
+    ties included: min(rows, cols) pairs, sorted by row.
+    """
+    transpose = weights.shape[1] < weights.shape[0]
+    cost = (-(weights.T if transpose else weights)).tolist()
+    nr, nc = len(cost), len(cost[0])
+    inf = float("inf")
+    u, v = [0] * nr, [0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for current in range(nr):
+        shortest = [inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows, cols = [], []
+        min_val, i, sink = 0, current, -1
+        while sink < 0:
+            rows.append(i)
+            base, row = min_val - u[i], cost[i]
+            index, lowest = -1, inf
+            for at, j in enumerate(remaining):
+                s = shortest[j]
+                r = base + row[j] - v[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    index, lowest = at, s
+            min_val = lowest
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[current] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    if transpose:
+        pairs = sorted((c, r) for r, c in enumerate(col4row))
+        return [c for c, _ in pairs], [r for _, r in pairs]
+    return list(range(nr)), col4row
+
+
 def compare_clusterings(a: ClusteringResult, b: ClusteringResult) -> ClusterComparison:
     """Count vertices whose labels disagree under the best one-to-one matching.
 
-    The matching maximises agreement over the confusion matrix (Hungarian
-    assignment, exact). Misplaced vertex ids are reported in the results'
-    index base.
+    The matching maximises agreement over the confusion matrix, exactly:
+    it is the assignment ``scipy.optimize.linear_sum_assignment`` returns
+    with ``maximize=True``, found by the same algorithm with the same tie
+    rules (see ``_max_weight_assignment``), so tied confusion matrices
+    match labels alike. Vertices whose label in ``a`` is left unmatched are
+    misplaced. Misplaced vertex ids are reported in the results' index base.
     """
-    # Imported here, not at module level: scipy.optimize costs several times
-    # the rest of the package's import, and only this function needs it.
-    from scipy.optimize import linear_sum_assignment
-
     if len(a.labels) != len(b.labels):
         raise ValueError("clusterings cover different numbers of vertices")
     if a.index_base != b.index_base:
@@ -321,11 +383,8 @@ def compare_clusterings(a: ClusteringResult, b: ClusteringResult) -> ClusterComp
     kb = int(b.labels.max()) + 1 if len(b.labels) else 0
     confusion = np.zeros((max(ka, 1), max(kb, 1)), dtype=int)
     np.add.at(confusion, (a.labels, b.labels), 1)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    mapping = {int(r): int(c) for r, c in zip(rows, cols)}
-    misplaced_ids = tuple(
-        int(v) + a.index_base
-        for v in range(len(a.labels))
-        if mapping.get(int(a.labels[v])) != int(b.labels[v])
-    )
+    rows, cols = _max_weight_assignment(confusion)
+    match = np.full(len(confusion), -1)
+    match[rows] = cols
+    misplaced_ids = tuple((np.flatnonzero(match[a.labels] != b.labels) + a.index_base).tolist())
     return ClusterComparison(misplaced=len(misplaced_ids), misplaced_ids=misplaced_ids)

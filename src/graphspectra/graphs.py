@@ -18,6 +18,9 @@ import numpy as np
 # Degrees are floating-point sums; degrees within this of each other are
 # treated as equal.
 DEGREE_TOL = 1e-12
+# Relative distance from an integer within which a degree extreme, a float
+# sum of weights, counts as that integer.
+CLASS_RTOL = 1e-9
 
 TextSource = Union[str, IO[str]]
 
@@ -140,11 +143,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeSummary:
-    """Vertex degrees (sums of incident edge weights) and their extremes."""
+    """Vertex degrees (sums of incident edge weights) and their extremes.
+
+    Immutable, so the bound sets computed from the extremes are memoised
+    on the instance.
+    """
 
     degrees: np.ndarray
     d_min: float
     d_max: float
+    # Bound-set name -> value, filled by bounds.eigenvalue_bound_set and gap_bound_set.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -449,8 +458,14 @@ def is_d_regular(g: Graph) -> Optional[float]:
 
 
 def class_tag(ds: DegreeSummary) -> ClassTag:
-    """Integer degree-extreme class of a graph; extremes must be integral."""
+    """Integer degree-extreme class of a graph; extremes must be integral.
+
+    An extreme belongs to the integer r nearest it when it lies within
+    ``CLASS_RTOL * |r|`` of r, so the band scales with the degree and a
+    class j = 0 needs d_min = 0 exactly (an isolated vertex), however small
+    the weights of the graph are.
+    """
     j, k = round(ds.d_min), round(ds.d_max)
-    if abs(ds.d_min - j) > 1e-9 or abs(ds.d_max - k) > 1e-9:
+    if abs(ds.d_min - j) > CLASS_RTOL * abs(j) or abs(ds.d_max - k) > CLASS_RTOL * abs(k):
         raise ValueError("degree extremes are not integers; no integer class applies")
     return ClassTag(j=j, k=k)

@@ -13,8 +13,9 @@ every result is checked for residual and orthonormality before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +67,8 @@ class Spectrum:
     values: np.ndarray
     support: tuple[float, float]
     support_length: float
+    # The normalised eigengaps, set by normalized_eigengaps on first use.
+    _gaps: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -188,8 +191,17 @@ def normalized_eigengaps(s: Spectrum) -> np.ndarray:
 
     All entries are non-negative under the spectrum's ordering convention.
     A zero-length support (edgeless graph) means a one-point spectrum, so
-    the gaps are zero.
+    the gaps are zero. Computed once per spectrum, which is immutable: every
+    call returns the same read-only array.
     """
+    if s._gaps is None:
+        gaps = _eigengaps(s)
+        gaps.setflags(write=False)
+        object.__setattr__(s, "_gaps", gaps)
+    return s._gaps
+
+
+def _eigengaps(s: Spectrum) -> np.ndarray:
     if s.n < 2:
         raise ValueError("eigengaps need at least two eigenvalues")
     if s.kind is RepresentationKind.ADJACENCY:

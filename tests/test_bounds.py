@@ -46,7 +46,7 @@ from graphspectra import (
     transform_params,
     weyl_check,
 )
-from graphspectra import bounds
+from graphspectra import bounds, spectra
 from graphspectra.bounds import DEFAULT_MERGE_TOL, PolyMapReport, newton_eval
 from graphspectra.graphs import DegreeSummary
 from graphspectra.spectra import Spectrum
@@ -345,6 +345,40 @@ class TestGapDifferences:
         for g in (karate, star18, bipartite_b, graph_c18):
             for pair in MatrixPair:
                 assert gap_differences(pair, g).within_bound
+
+
+class TestFactsComputedOnce:
+    """Eigengaps are computed once per spectrum and the bound sets once per
+    degree summary, however many pairs an analysis checks."""
+
+    @staticmethod
+    def _analyse(g):
+        """The bound checks of the analyze_random benchmark's op."""
+        weyl_check(g)
+        for pair in MatrixPair:
+            d = pair_differences(pair, g)
+            detect_maximal_crossover(d.deltas, d.bound)
+            gap_differences(pair, g)
+
+    def test_evaluations_per_analysis(self):
+        g = random_graph(np.random.default_rng(21), 32)
+        assert degree_summary(g).d_min > 0
+        with mock.patch.object(spectra, "_eigengaps", wraps=spectra._eigengaps) as gaps, \
+                mock.patch.object(bounds, "_eigenvalue_bounds", wraps=bounds._eigenvalue_bounds) as eig, \
+                mock.patch.object(bounds, "_gap_bounds", wraps=bounds._gap_bounds) as gap:
+            self._analyse(g)
+            assert (gaps.call_count, eig.call_count, gap.call_count) == (3, 1, 1)
+            self._analyse(g)  # a second analysis of the same graph computes none again
+            assert (gaps.call_count, eig.call_count, gap.call_count) == (3, 1, 1)
+
+    def test_memoised_gaps_are_the_computed_ones(self, karate):
+        for kind in RepresentationKind:
+            spec = spectrum(karate, kind)
+            gaps = normalized_eigengaps(spec)
+            assert normalized_eigengaps(spec) is gaps
+            assert gaps.tobytes() == spectra._eigengaps(spec).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                gaps[0] = 1.0
 
 
 class TestMappedSupport:

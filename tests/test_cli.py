@@ -46,6 +46,27 @@ class TestInfo:
         assert out["region"] == "normal"
 
 
+class TestTinyWeights:
+    """A path whose two weights are 1e-10: its degree extremes are near 0 but
+    not 0, so no integer class applies."""
+
+    @pytest.fixture
+    def tiny_path(self, tmp_path):
+        graph_file = tmp_path / "tiny.txt"
+        graph_file.write_text("nodes 3 base 0\n0 1 1e-10\n1 2 1e-10\n")
+        return str(graph_file)
+
+    def test_info_reports_no_class(self, capsys, tiny_path):
+        out = run_json(capsys, "info", tiny_path)
+        assert (out["d_min"], out["d_max"]) == (1e-10, 2e-10)
+        assert (out["class"], out["region"], out["ordering"]) == (None, None, None)
+
+    def test_region_is_one_error_line(self, capsys, tiny_path):
+        code, out, err = run(capsys, "region", tiny_path)
+        assert (code, out) == (1, "")
+        assert err == "error: degree extremes are not integers; no integer class applies\n"
+
+
 class TestGen:
     def test_roundtrip_star(self, capsys, tmp_path):
         target = tmp_path / "star.txt"
@@ -275,15 +296,30 @@ class TestCluster:
 
 
 class TestImportCost:
-    def test_info_and_bounds_do_not_load_scipy(self):
-        """scipy is loaded only where two clusterings are compared."""
+    def test_no_command_loads_scipy(self, tmp_path):
+        """The README session, every command the cli_session benchmark runs,
+        comparing clusterings included, leaves no scipy module loaded."""
         src = str(Path(graphspectra.__file__).resolve().parents[1])
+        c18, sweep = str(tmp_path / "c18.txt"), str(tmp_path / "sweep.csv")
+        commands = [
+            ["gen", "graphc", "18", "-o", c18],
+            ["bounds", c18],
+            ["crossover", c18, "--pair", "A_L"],
+            ["cluster", c18, "--kind", "Lrw", "--k", "27"],
+            ["sweep", "--graphc", "3..18", "-o", sweep],
+            ["info", KARATE],
+            ["bounds", KARATE],
+            ["gaps", KARATE],
+            ["weyl", KARATE],
+            ["polymap", KARATE, "--pair", "A_L"],
+            ["plotdata", KARATE, "--figure", "eigs", "--pair", "A_Lrw"],
+            ["cluster", KARATE, "--kind", "A", "--k", "2", "--truth", str(karate_factions_path())],
+        ]
         script = (
             "import sys\n"
-            "import graphspectra\n"
             "import graphspectra.cli\n"
-            f"assert graphspectra.cli.main(['info', {KARATE!r}]) == 0\n"
-            f"assert graphspectra.cli.main(['bounds', {KARATE!r}]) == 0\n"
+            f"for argv in {commands!r}:\n"
+            "    assert graphspectra.cli.main(argv) == 0, argv\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n"
         )
@@ -291,6 +327,7 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env)
         assert proc.returncode == 0, proc.stderr
+        assert '"misplaced": 0' in proc.stdout
 
 
 class TestPrecheckCost:

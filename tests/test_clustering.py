@@ -8,6 +8,8 @@ Ground truth:
 - karate: the adjacency clustering matches the recorded faction split,
   the normalised Laplacian misplaces exactly member 3, and the two
   Laplacian clusterings differ exactly on members 2, 4, 8, 14 and 20.
+- the label matching is scipy's ``linear_sum_assignment`` (test-only
+  oracle), array for array, ties included.
 """
 
 import tracemalloc
@@ -393,3 +395,113 @@ class TestCompareClusterings:
                              empty_clusters=())
         with pytest.raises(ValueError):
             compare_clusterings(a, b)
+
+
+def _reference_compare_clusterings(a, b):
+    """compare_clusterings on scipy's assignment, with the per-vertex loop."""
+    from scipy.optimize import linear_sum_assignment
+
+    ka = int(a.labels.max()) + 1 if len(a.labels) else 0
+    kb = int(b.labels.max()) + 1 if len(b.labels) else 0
+    confusion = np.zeros((max(ka, 1), max(kb, 1)), dtype=int)
+    np.add.at(confusion, (a.labels, b.labels), 1)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    mapping = {int(r): int(c) for r, c in zip(rows, cols)}
+    misplaced_ids = tuple(
+        int(v) + a.index_base
+        for v in range(len(a.labels))
+        if mapping.get(int(a.labels[v])) != int(b.labels[v])
+    )
+    return misplaced_ids
+
+
+def _assert_comparison_matches_reference(a, b):
+    pytest.importorskip("scipy")
+    comparison = compare_clusterings(a, b)
+    expected = _reference_compare_clusterings(a, b)
+    assert comparison.misplaced_ids == expected
+    assert comparison.misplaced == len(expected)
+
+
+def _labeling(labels, index_base=1):
+    labels = np.asarray(labels, dtype=int)
+    k = int(labels.max()) + 1 if len(labels) else 0
+    return ClusteringResult(labels=labels, inertia=0.0, kind=None, k=k, empty_clusters=(),
+                            index_base=index_base)
+
+
+@st.composite
+def weight_matrices(draw):
+    """Small integer matrices, tall or wide: a top of 0 gives all zeros, and
+    tops of 1 to 3 give many tied assignments."""
+    rows = draw(st.integers(min_value=1, max_value=9))
+    cols = draw(st.integers(min_value=1, max_value=9))
+    top = draw(st.sampled_from([0, 1, 2, 3, 10, 1000]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return rng.integers(0, top + 1, size=(rows, cols))
+
+
+@st.composite
+def labeling_pairs(draw):
+    """Two labelings of the same vertices, labels drawn below k (some unused)."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    ka = draw(st.integers(min_value=1, max_value=8))
+    kb = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    base = draw(st.sampled_from([0, 1]))
+    return (_labeling(rng.integers(0, ka, size=n), base),
+            _labeling(rng.integers(0, kb, size=n), base))
+
+
+class TestAssignmentMatchesScipy:
+    """The label matching is scipy's linear_sum_assignment(..., maximize=True),
+    with the same rows and columns, ties included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(weight_matrices())
+    @example(np.array([[5]]))  # k = 1
+    @example(np.array([[0, 3, 1]]))  # one row
+    @example(np.array([[2], [7], [7]]))  # one column
+    @example(np.zeros((4, 4), dtype=int))
+    @example(np.full((3, 5), 4))
+    @example(np.full((6, 2), 1))
+    @example(np.eye(7, dtype=int)[::-1] * 3)
+    def test_rows_and_columns(self, weights):
+        optimize = pytest.importorskip("scipy.optimize")
+        rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
+        assert clustering._max_weight_assignment(weights) == (rows.tolist(), cols.tolist())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(labeling_pairs())
+    @example((_labeling([], 0), _labeling([], 0)))
+    @example((_labeling([0, 0, 0, 0]), _labeling([0, 1, 2, 3])))
+    @example((_labeling([0, 1, 2, 3]), _labeling([0, 0, 0, 0])))
+    @example((_labeling([2, 2, 0, 0, 1, 1]), _labeling([0, 1, 0, 1, 0, 1])))
+    def test_random_labelings(self, pair):
+        _assert_comparison_matches_reference(*pair)
+
+    @pytest.mark.parametrize("k", [18, 30, 50])
+    def test_graph_c_clusterings(self, k):
+        """The clusterings of C(k) the cluster_graphc benchmark scores, against
+        their expected partitions and against each other."""
+        g = gen_graph_c(k)
+        complete, pairs = np.zeros(k, dtype=int), np.arange(18) // 2
+        truths = {
+            10: np.concatenate([complete, 1 + pairs]),  # the components
+            19: np.concatenate([complete, 1 + np.arange(18)]),  # pairs split
+            k + 9: np.concatenate([np.arange(k), k + pairs]),  # complete split
+        }
+        results = [cluster(g, kind, clusters) for kind, clusters in
+                   ((A, 10), (L, 10), (LRW, 10), (L, 19), (LRW, k + 9))]
+        for result in results:
+            _assert_comparison_matches_reference(result, _labeling(truths[result.k]))
+            for other in results:
+                _assert_comparison_matches_reference(result, other)
+
+    def test_karate_clusterings(self, karate, karate_truth):
+        results = [cluster(karate, kind, 2, seed=seed) for kind in (A, L, LRW) for seed in (42, 7)]
+        for result in results:
+            _assert_comparison_matches_reference(result, karate_truth)
+            _assert_comparison_matches_reference(karate_truth, result)
+            for other in results:
+                _assert_comparison_matches_reference(result, other)

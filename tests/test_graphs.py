@@ -26,6 +26,7 @@ from graphspectra import (
     load_pajek,
 )
 from graphspectra.cli import _write_edge_list
+from graphspectra.graphs import ClassTag, DegreeSummary
 
 
 def path3():
@@ -337,6 +338,29 @@ class TestRegularityAndClass:
         w[0, 1] = w[1, 0] = 0.5
         with pytest.raises(ValueError, match="integer"):
             class_tag(degree_summary(Graph(n=2, weights=w)))
+
+    def test_class_zero_needs_an_isolated_vertex(self):
+        """A path weighted 1e-10 used to be class (0, 0), within 1e-9 of 0."""
+        tiny = Graph.from_edges(3, [(0, 1), (1, 2)], [1e-10, 1e-10])
+        with pytest.raises(ValueError, match="integer"):
+            class_tag(degree_summary(tiny))
+        isolated = Graph.from_edges(3, [(0, 1)], [1.0])
+        assert class_tag(degree_summary(isolated)) == ClassTag(j=0, k=1)
+
+    @pytest.mark.parametrize("d_min, d_max, tag", [
+        (1 - 1e-10, 1e6 * (1 + 1e-10), (1, 10**6)),
+        (3 * (1 + 9e-10), 3.0, (3, 3)),
+        (0.0, 1e6 * (1 + 2e-9), None),
+        (1 - 2e-9, 2.0, None),
+        (5e-324, 1.0, None),
+    ])
+    def test_class_band_is_relative_to_the_integer(self, d_min, d_max, tag):
+        ds = DegreeSummary(degrees=np.array([d_min, d_max]), d_min=d_min, d_max=d_max)
+        if tag is None:
+            with pytest.raises(ValueError, match="integer"):
+                class_tag(ds)
+        else:
+            assert class_tag(ds) == ClassTag(*tag)
 
 
 def _reference_components(weights):
