@@ -58,11 +58,6 @@ from .spectra import (
     spectrum,
 )
 
-_KINDS = {"A": RepresentationKind.ADJACENCY,
-          "L": RepresentationKind.LAPLACIAN,
-          "Lrw": RepresentationKind.NORMALIZED_LAPLACIAN}
-
-
 def _load_graph(path: str, input_format: str) -> Graph:
     text = Path(path).read_text()
     if input_format == "pajek" or (input_format == "auto" and path.endswith(".net")):
@@ -107,13 +102,8 @@ def _round2(x, strip: bool) -> str:
 
 def _render(d_min, d_max, strip: bool) -> str:
     """The triple (e(A,L), e(L,Lrw), e(A,Lrw)), computed exactly and rounded half-up."""
-    b = eigenvalue_bound_set(_extremes(Fraction(d_min), Fraction(d_max)))
+    b = eigenvalue_bound_set(DegreeSummary(Fraction(d_min), Fraction(d_max)))
     return "(" + ", ".join(_round2(e, strip) for e in (b.e_al, b.e_llrw, b.e_alrw)) + ")"
-
-
-def _extremes(d_min, d_max) -> DegreeSummary:
-    """Degree summary of a class known only by its extremes."""
-    return DegreeSummary(degrees=np.array([d_min, d_max], dtype=float), d_min=d_min, d_max=d_max)
 
 
 def bound_table_cell(j: int, k: int) -> str:
@@ -176,7 +166,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_spectra(args) -> int:
     g = _load_graph(args.file, args.input_format)
-    spec = spectrum(g, _KINDS[args.kind])
+    spec = spectrum(g, RepresentationKind(args.kind))
     if args.format == "json":
         payload = {
             "kind": spec.kind.value,
@@ -272,7 +262,7 @@ def _cmd_table(args) -> int:
             for j in dmins:
                 if j > k:
                     continue
-                bounds = eigenvalue_bound_set(_extremes(float(j), float(k)))
+                bounds = eigenvalue_bound_set(DegreeSummary(float(j), float(k)))
                 cells.append({
                     "d_min": j,
                     "d_max": k,
@@ -297,7 +287,9 @@ def _cmd_region(args) -> int:
     if args.file is not None:
         ds = degree_summary(_load_graph(args.file, args.input_format))
     elif args.dmin is not None and args.dmax is not None:
-        ds = _extremes(float(args.dmin), float(args.dmax))
+        if not 0 <= args.dmin <= args.dmax <= sys.float_info.max:
+            raise ValueError("region needs 0 <= --dmin <= --dmax, both finite as floats")
+        ds = DegreeSummary(float(args.dmin), float(args.dmax))
     else:
         print("error: region needs a FILE or both --dmin and --dmax", file=sys.stderr)
         return 2
@@ -313,7 +305,8 @@ def _cmd_region(args) -> int:
 
 def _cmd_cluster(args) -> int:
     g = _load_graph(args.file, args.input_format)
-    result = cluster(g, _KINDS[args.kind], args.k, restarts=args.restarts, seed=args.seed)
+    result = cluster(g, RepresentationKind(args.kind), args.k, restarts=args.restarts,
+                     seed=args.seed)
     out = {
         "n": g.n,
         "kind": args.kind,
@@ -428,7 +421,7 @@ def _cmd_sweep(args) -> int:
     lines = ["k,kind,gap_index,value,note"]
     for k in ks:
         g = gen_graph_c(k)
-        for kind_name, kind in _KINDS.items():
+        for kind in RepresentationKind:
             gaps = normalized_eigengaps(spectrum(g, kind))
             largest = int(np.argmax(gaps)) + 1
             for i, value in enumerate(gaps, start=1):
@@ -437,7 +430,7 @@ def _cmd_sweep(args) -> int:
                     notes.append("largest")
                 if kind is RepresentationKind.NORMALIZED_LAPLACIAN and i == k + 9:
                     notes.append("k+9")
-                lines.append(f"{k},{kind_name},{i},{_csv_float(value)},{';'.join(notes)}")
+                lines.append(f"{k},{kind.value},{i},{_csv_float(value)},{';'.join(notes)}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -467,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("spectra", help="ordered eigenvalues of one representation matrix")
     _add_graph_arg(sub)
-    sub.add_argument("--kind", choices=tuple(_KINDS), required=True)
+    sub.add_argument("--kind", choices=tuple(k.value for k in RepresentationKind), required=True)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("-o", "--output", default=None)
     sub.set_defaults(func=_cmd_spectra)
@@ -495,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("cluster", help="spectral clustering of one representation matrix")
     _add_graph_arg(sub)
-    sub.add_argument("--kind", choices=tuple(_KINDS), required=True)
+    sub.add_argument("--kind", choices=tuple(k.value for k in RepresentationKind), required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)

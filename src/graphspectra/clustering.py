@@ -17,12 +17,12 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, degree_summary
+from .graphs import Graph
 from .spectra import RepresentationKind, eigensystem
 
 DEFAULT_SEED = 42
@@ -36,15 +36,6 @@ KMEANS_WORKING_SET_BYTES = 2 * 1024 * 1024
 
 class KMeansError(RuntimeError):
     """Lloyd's iteration increased the k-means inertia, which exact arithmetic forbids."""
-
-
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """Rows are vertices, columns the selected eigenvectors."""
-
-    points: np.ndarray
-    kind: Optional[RepresentationKind]
-    index_base: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +56,8 @@ class ClusterComparison:
     misplaced_ids: tuple[int, ...]
 
 
-def spectral_embed(g: Graph, kind: RepresentationKind, k: int) -> Embedding:
-    """Embed vertices by the first k eigenvectors of the chosen matrix.
+def spectral_embed(g: Graph, kind: RepresentationKind, k: int) -> np.ndarray:
+    """The n x k array whose row v embeds vertex v by the first k eigenvectors.
 
     For the normalised Laplacian the symmetric-surrogate eigenvectors are
     converted to true random-walk eigenvectors via D^{-1/2}; rows are not
@@ -77,9 +68,9 @@ def spectral_embed(g: Graph, kind: RepresentationKind, k: int) -> Embedding:
     _, vectors = eigensystem(g, kind)
     points = vectors[:, :k]
     if kind is RepresentationKind.NORMALIZED_LAPLACIAN:
-        inv_sqrt = 1.0 / np.sqrt(degree_summary(g).degrees)
+        inv_sqrt = 1.0 / np.sqrt(g.degrees)
         points = points * inv_sqrt[:, None]
-    return Embedding(points=points, kind=kind, index_base=g.index_base)
+    return points
 
 
 class _Points:
@@ -242,25 +233,23 @@ def _block_size(points: _Points, k: int) -> int:
 
 
 def kmeans(
-    points: Union[Embedding, np.ndarray],
+    points: np.ndarray,
     k: int,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
 ) -> ClusteringResult:
     """Deterministic k-means: k-means++ seeding, Lloyd iterations, best restart.
 
+    Clusters the rows of the n x d array ``points``, which must be finite.
     Each restart r draws from ``numpy.random.default_rng([seed, r])``, so
     results are reproducible and independent of execution order; the
     restart with minimal inertia wins, earliest restart on ties. Restarts
-    run in blocks, with the same arithmetic as one at a time. Points must
-    be finite.
+    run in blocks, with the same arithmetic as one at a time. The result
+    has ``kind`` None and index base 0.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if isinstance(points, Embedding):
-        data, kind, index_base = points.points, points.kind, points.index_base
-    else:
-        data, kind, index_base = np.asarray(points, dtype=float), None, 0
+    data = np.asarray(points, dtype=float)
     n = len(data)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
@@ -279,14 +268,7 @@ def kmeans(
                 best = (labels[i].copy(), inertia)
     labels, inertia = best
     empty = tuple(np.flatnonzero(np.bincount(labels, minlength=k) == 0).tolist())
-    return ClusteringResult(
-        labels=labels,
-        inertia=inertia,
-        kind=kind,
-        k=k,
-        empty_clusters=empty,
-        index_base=index_base,
-    )
+    return ClusteringResult(labels=labels, inertia=inertia, kind=None, k=k, empty_clusters=empty)
 
 
 def cluster(
@@ -296,8 +278,12 @@ def cluster(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
 ) -> ClusteringResult:
-    """Spectral clustering: k-means over the first-k eigenvector embedding."""
-    return kmeans(spectral_embed(g, kind, k), k, restarts=restarts, seed=seed)
+    """Spectral clustering: k-means over the first-k eigenvector embedding.
+
+    The result carries ``kind`` and the graph's index base.
+    """
+    result = kmeans(spectral_embed(g, kind, k), k, restarts=restarts, seed=seed)
+    return replace(result, kind=kind, index_base=g.index_base)
 
 
 def _max_weight_assignment(weights: np.ndarray) -> tuple[list[int], list[int]]:
@@ -372,6 +358,10 @@ def compare_clusterings(a: ClusteringResult, b: ClusteringResult) -> ClusterComp
     rules (see ``_max_weight_assignment``), so tied confusion matrices
     match labels alike. Vertices whose label in ``a`` is left unmatched are
     misplaced. Misplaced vertex ids are reported in the results' index base.
+
+    Each labeling's labels are ranked first, so the confusion matrix has a
+    row per label used in ``a`` and a column per label used in ``b``,
+    however large the labels are. Ranking keeps the order of the labels.
     """
     if len(a.labels) != len(b.labels):
         raise ValueError("clusterings cover different numbers of vertices")
@@ -379,12 +369,12 @@ def compare_clusterings(a: ClusteringResult, b: ClusteringResult) -> ClusterComp
         raise ValueError("clusterings use different index bases")
     if len(a.labels) and (a.labels.min() < 0 or b.labels.min() < 0):
         raise ValueError("cluster labels must be non-negative")
-    ka = int(a.labels.max()) + 1 if len(a.labels) else 0
-    kb = int(b.labels.max()) + 1 if len(b.labels) else 0
-    confusion = np.zeros((max(ka, 1), max(kb, 1)), dtype=int)
-    np.add.at(confusion, (a.labels, b.labels), 1)
+    used_a, ranks_a = np.unique(a.labels, return_inverse=True)
+    used_b, ranks_b = np.unique(b.labels, return_inverse=True)
+    confusion = np.zeros((max(len(used_a), 1), max(len(used_b), 1)), dtype=int)
+    np.add.at(confusion, (ranks_a, ranks_b), 1)
     rows, cols = _max_weight_assignment(confusion)
     match = np.full(len(confusion), -1)
     match[rows] = cols
-    misplaced_ids = tuple((np.flatnonzero(match[a.labels] != b.labels) + a.index_base).tolist())
+    misplaced_ids = tuple((np.flatnonzero(match[ranks_a] != ranks_b) + a.index_base).tolist())
     return ClusterComparison(misplaced=len(misplaced_ids), misplaced_ids=misplaced_ids)

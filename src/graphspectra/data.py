@@ -40,6 +40,7 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
     against a clustering (it does not change how the file is read).
     """
     labels = np.full(n, -1, dtype=int)
+    top = int(np.iinfo(labels.dtype).max)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,6 +54,8 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
             raise ValueError(f"truth file line {lineno}: vertex id {vid} out of range")
         if label < 0:
             raise ValueError(f"truth file line {lineno}: labels must be non-negative")
+        if label > top:
+            raise ValueError(f"truth file line {lineno}: label {label} exceeds {top}")
         if labels[vid - 1] >= 0:
             raise ValueError(f"truth file line {lineno}: duplicate vertex id {vid}")
         labels[vid - 1] = label

@@ -120,9 +120,9 @@ class Graph:
             if a is not None:
                 a.setflags(write=False)
         if n:
-            summary = DegreeSummary(degrees, float(degrees.min()), float(degrees.max()))
+            summary = DegreeSummary(float(degrees.min()), float(degrees.max()))
         else:
-            summary = DegreeSummary(degrees, 0.0, 0.0)
+            summary = DegreeSummary(0.0, 0.0)
         for name, value in (("n", n), ("edges", edges), ("edge_weights", edge_weights),
                             ("degrees", degrees), ("index_base", index_base),
                             ("rescaled", rescaled), ("_weights", weights),
@@ -143,13 +143,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeSummary:
-    """Vertex degrees (sums of incident edge weights) and their extremes.
+    """The degree extremes (d_min, d_max) of a graph or of a degree-extreme class.
 
-    Immutable, so the bound sets computed from the extremes are memoised
-    on the instance.
+    The bounds depend on the extremes alone; a graph's degree vector is
+    ``Graph.degrees``. Immutable, so the bound sets computed from the
+    extremes are memoised on the instance.
     """
 
-    degrees: np.ndarray
     d_min: float
     d_max: float
     # Bound-set name -> value, filled by bounds.eigenvalue_bound_set and gap_bound_set.
@@ -178,8 +178,8 @@ def _graph_from_edges(
     index_base: int,
 ) -> Graph:
     weights = np.fromiter(edges.values(), dtype=float, count=len(edges))
-    max_weight = weights.max(initial=1.0)
-    rescaled = bool(max_weight > 1.0)
+    max_weight = float(weights.max(initial=1.0))
+    rescaled = max_weight > 1.0
     if rescaled:
         weights = weights / max_weight
         if not np.all(weights > 0.0):
@@ -355,7 +355,7 @@ def load_pajek(source: TextSource) -> Graph:
 
 
 def degree_summary(g: Graph) -> DegreeSummary:
-    """The graph's (read-only) weighted degrees together with d_min and d_max.
+    """The graph's degree extremes d_min and d_max (0 and 0 when n = 0).
 
     Computed once, when the graph is built, and shared by every call.
     """

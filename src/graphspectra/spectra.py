@@ -40,33 +40,16 @@ class EigensolverError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class RepMatrix:
-    """A representation matrix; ``sym_surrogate`` marks the L_sym stand-in."""
-
-    kind: RepresentationKind
-    entries: np.ndarray
-    sym_surrogate: bool
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPairs:
-    """Eigenvalues in ascending order, column i of vectors paired with values[i]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues in the kind's convention order with their Gershgorin support.
 
     Adjacency spectra are descending; both Laplacian spectra ascending.
+    ``support_length`` is ``support[1] - support[0]``, computed on access.
     """
 
     kind: RepresentationKind
     values: np.ndarray
     support: tuple[float, float]
-    support_length: float
     # The normalised eigengaps, set by normalized_eigengaps on first use.
     _gaps: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -74,39 +57,41 @@ class Spectrum:
     def n(self) -> int:
         return len(self.values)
 
+    @property
+    def support_length(self) -> float:
+        return self.support[1] - self.support[0]
 
-def build_matrix(g: Graph, kind: RepresentationKind) -> RepMatrix:
-    """Assemble the requested representation matrix, exactly symmetric.
 
-    For the normalised Laplacian the symmetric form L_sym is returned
-    (it has the same eigenvalues as the random-walk form, which is not
-    symmetric); the ``sym_surrogate`` flag records the substitution.
-    Requires d_min > 0 in that case.
+def build_matrix(g: Graph, kind: RepresentationKind) -> np.ndarray:
+    """The requested representation matrix as a new n x n array, exactly symmetric.
+
+    For the normalised Laplacian the symmetric form L_sym is returned: it
+    has the same eigenvalues as the random-walk form, which is not
+    symmetric. Requires d_min > 0 in that case.
     """
-    ds = degree_summary(g)
     a = np.array(g.weights)
     if kind is RepresentationKind.ADJACENCY:
-        return RepMatrix(kind=kind, entries=a, sym_surrogate=False)
-    lap = np.diag(ds.degrees) - a
+        return a
+    lap = np.diag(g.degrees) - a
     if kind is RepresentationKind.LAPLACIAN:
-        return RepMatrix(kind=kind, entries=lap, sym_surrogate=False)
+        return lap
     if kind is RepresentationKind.NORMALIZED_LAPLACIAN:
-        if ds.d_min == 0.0:  # degrees sum positive weights: exactly 0 when isolated
+        if degree_summary(g).d_min == 0.0:  # degrees sum positive weights: exactly 0 when isolated
             raise UndefinedRepresentationError(
                 "normalised Laplacian is undefined for d_min = 0 (isolated vertex)"
             )
-        inv_sqrt = 1.0 / np.sqrt(ds.degrees)
+        inv_sqrt = 1.0 / np.sqrt(g.degrees)
         # Elementwise scaling keeps the matrix exactly symmetric.
-        lsym = lap * np.outer(inv_sqrt, inv_sqrt)
-        return RepMatrix(kind=kind, entries=lsym, sym_surrogate=True)
+        return lap * np.outer(inv_sqrt, inv_sqrt)
     raise ValueError(f"unknown representation kind {kind!r}")
 
 
-def eig_sym(m: np.ndarray, label: str = "matrix") -> EigenPairs:
-    """Full eigendecomposition of a symmetric matrix via LAPACK ``eigh``.
+def eig_sym(m: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition ``(values, vectors)`` of a symmetric matrix via LAPACK ``eigh``.
 
-    Values come back ascending. Raises :class:`EigensolverError` if LAPACK
-    fails or the residual / orthonormality checks fail.
+    Values come back ascending, column i of ``vectors`` paired with
+    ``values[i]``. Raises :class:`EigensolverError` if LAPACK fails or the
+    residual / orthonormality checks fail.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -120,7 +105,7 @@ def eig_sym(m: np.ndarray, label: str = "matrix") -> EigenPairs:
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"{label}: LAPACK eigh failed ({exc})") from exc
     _validate_pairs(m, values, vectors, label)
-    return EigenPairs(values=values, vectors=vectors)
+    return values, vectors
 
 
 def _validate_pairs(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, label: str) -> None:
@@ -154,21 +139,16 @@ def eigensystem(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarra
     For the normalised Laplacian the vectors are those of the symmetric
     surrogate; multiply by D^{-1/2} to obtain random-walk eigenvectors.
     """
-    rep = build_matrix(g, kind)
-    pairs = eig_sym(rep.entries, label=f"{kind.value} matrix (n={g.n})")
+    values, vectors = eig_sym(build_matrix(g, kind), label=f"{kind.value} matrix (n={g.n})")
     if kind is RepresentationKind.ADJACENCY:
-        order = np.argsort(-pairs.values, kind="stable")
-        values, vectors = pairs.values[order], pairs.vectors[:, order]
-    else:
-        values, vectors = pairs.values, pairs.vectors
-    d_max = degree_summary(g).d_max
-    lo, hi = spectral_support(kind, d_max)
+        order = np.argsort(-values, kind="stable")
+        values, vectors = values[order], vectors[:, order]
+    lo, hi = spectral_support(kind, degree_summary(g).d_max)
     if len(values) and (values.min() < lo - 1e-9 or values.max() > hi + 1e-9):
         raise EigensolverError(
             f"{kind.value} eigenvalues escape the Gershgorin support [{lo}, {hi}]"
         )
-    spec = Spectrum(kind=kind, values=values, support=(lo, hi), support_length=hi - lo)
-    return spec, vectors
+    return Spectrum(kind=kind, values=values, support=(lo, hi)), vectors
 
 
 def spectrum(g: Graph, kind: RepresentationKind) -> Spectrum:

@@ -57,8 +57,7 @@ LRW = RepresentationKind.NORMALIZED_LAPLACIAN
 
 
 def summary(d_min, d_max):
-    return DegreeSummary(degrees=np.array([float(d_min), float(d_max)]),
-                         d_min=float(d_min), d_max=float(d_max))
+    return DegreeSummary(float(d_min), float(d_max))
 
 
 def path3():
@@ -153,11 +152,9 @@ class TestEigenvalueBoundSet:
 
     def test_isolation_is_exact_on_fractions(self):
         """Only d_min = 0 drops the Lrw bounds, however small d_min is."""
-        zero = eigenvalue_bound_set(DegreeSummary(degrees=np.zeros(2), d_min=Fraction(0),
-                                                  d_max=Fraction(3)))
+        zero = eigenvalue_bound_set(DegreeSummary(Fraction(0), Fraction(3)))
         assert zero.e_al == Fraction(3, 2) and zero.e_llrw is None
-        tiny = eigenvalue_bound_set(DegreeSummary(degrees=np.zeros(2), d_min=Fraction(1, 10**13),
-                                                  d_max=Fraction(2, 10**13)))
+        tiny = eigenvalue_bound_set(DegreeSummary(Fraction(1, 10**13), Fraction(2, 10**13)))
         assert (tiny.e_llrw, tiny.e_alrw) == (Fraction(2, 3), Fraction(1))
 
     def test_ranges(self):
@@ -484,8 +481,7 @@ class TestPolynomialSpectrumMap:
 
 def _spec(values):
     """A Spectrum holding arbitrary values; only ``values`` matters to the map."""
-    return Spectrum(kind=L, values=np.asarray(values, dtype=float), support=(0.0, 1.0),
-                    support_length=1.0)
+    return Spectrum(kind=L, values=np.asarray(values, dtype=float), support=(0.0, 1.0))
 
 
 def _reference_newton_coefficients(x, y):

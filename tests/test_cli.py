@@ -259,6 +259,13 @@ class TestRegion:
         assert code == 2
         assert "dmin" in err
 
+    @pytest.mark.parametrize("dmin, dmax", [("5", "3"), ("-1", "3"), ("0", str(10**400))],
+                             ids=["dmin_above_dmax", "negative_dmin", "dmax_beyond_float"])
+    def test_impossible_extremes_are_one_error_line(self, capsys, dmin, dmax):
+        code, out, err = run(capsys, "region", "--dmin", dmin, "--dmax", dmax)
+        assert (code, out) == (1, "")
+        assert err == "error: region needs 0 <= --dmin <= --dmax, both finite as floats\n"
+
 
 class TestCluster:
     def test_karate_with_truth(self, capsys):
@@ -293,6 +300,15 @@ class TestCluster:
                 capture_output=True, env=env, check=True)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestPublicNamespace:
+    def test_every_exported_name_resolves(self):
+        for name in graphspectra.__all__:
+            getattr(graphspectra, name)
+        namespace = {}
+        exec("from graphspectra import *", namespace)
+        assert set(graphspectra.__all__) <= set(namespace)
 
 
 class TestImportCost:
@@ -518,6 +534,14 @@ class TestExitCodes:
                            "--truth", str(truth_file))
         assert code == 1
         assert err == "error: truth file line 2: non-numeric label 'a'\n"
+
+    def test_truth_label_beyond_int64_names_the_line(self, capsys, tmp_path):
+        truth_file = tmp_path / "truth.txt"
+        truth_file.write_text(f"1 {2**63}\n")
+        code, out, err = run(capsys, "cluster", KARATE, "--kind", "A", "--k", "2",
+                             "--truth", str(truth_file))
+        assert (code, out) == (1, "")
+        assert err == f"error: truth file line 1: label {2**63} exceeds {2**63 - 1}\n"
 
     def test_malformed_graph_is_domain_error(self, capsys, tmp_path):
         graph_file = tmp_path / "bad.txt"

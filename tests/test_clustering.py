@@ -13,6 +13,7 @@ Ground truth:
 """
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -172,7 +173,7 @@ class TestBatchedRestarts:
     @pytest.mark.parametrize("kind, k", [(A, 10), (L, 19), (LRW, 27)])
     def test_embeddings(self, graph_c18, kind, k):
         """The adjacency embedding is column-major, the others row-major."""
-        points = spectral_embed(graph_c18, kind, k).points
+        points = spectral_embed(graph_c18, kind, k)
         _assert_matches_reference(points, k, 50, 42)
 
     def test_tie_goes_to_earliest_restart_across_blocks(self):
@@ -216,16 +217,16 @@ class TestKmeansMemory:
 
 class TestSpectralEmbed:
     def test_k2_laplacian_null_space_is_constant(self):
-        emb = spectral_embed(gen_complete(2), L, 1)
-        assert emb.points.shape == (2, 1)
-        assert abs(emb.points[0, 0] - emb.points[1, 0]) < 1e-8
+        points = spectral_embed(gen_complete(2), L, 1)
+        assert points.shape == (2, 1)
+        assert abs(points[0, 0] - points[1, 0]) < 1e-8
 
     def test_p3_laplacian_columns(self):
         """First two L(P3) eigenvectors span the constant and (1, 0, -1)/sqrt(2)."""
-        emb = spectral_embed(path3(), L, 2)
+        points = spectral_embed(path3(), L, 2)
         constant = np.full(3, 1 / np.sqrt(3))
         fiedler = np.array([1.0, 0.0, -1.0]) / np.sqrt(2)
-        for column, expected in zip(emb.points.T, (constant, fiedler)):
+        for column, expected in zip(points.T, (constant, fiedler)):
             overlap = abs(column @ expected)
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
@@ -233,7 +234,7 @@ class TestSpectralEmbed:
         """With k = 10 rows of vertices in one component coincide, across kinds."""
         labels = connected_components(graph_c18).labels
         for kind in (A, L, LRW):
-            points = spectral_embed(graph_c18, kind, 10).points
+            points = spectral_embed(graph_c18, kind, 10)
             for comp in range(10):
                 rows = points[labels == comp]
                 assert np.abs(rows - rows[0]).max() < 1e-6
@@ -388,6 +389,21 @@ class TestCompareClusterings:
         lap = cluster(karate, L, 2)
         assert compare_clusterings(lap, karate_truth).misplaced == 6
 
+    def test_large_labels_match_like_their_ranks(self, karate, karate_truth):
+        """Truth labels 7 and 10**6 compare as 0 and 1 do, without a confusion
+        matrix a million columns wide."""
+        result = cluster(karate, LRW, 2)
+        renamed = replace(karate_truth, labels=np.where(karate_truth.labels == 0, 7, 10**6))
+        tracemalloc.start()
+        try:
+            comparison = compare_clusterings(result, renamed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert comparison == compare_clusterings(result, karate_truth)
+        assert comparison.misplaced_ids == (3,)
+        assert peak < 100_000
+
     def test_size_mismatch(self):
         a = ClusteringResult(labels=np.array([0, 1]), inertia=0.0, kind=None, k=2,
                              empty_clusters=())
@@ -398,19 +414,24 @@ class TestCompareClusterings:
 
 
 def _reference_compare_clusterings(a, b):
-    """compare_clusterings on scipy's assignment, with the per-vertex loop."""
+    """compare_clusterings on scipy's assignment, with the per-vertex loop.
+
+    The confusion matrix is over the ranked labels: row i is the i-th
+    smallest label used in ``a``, column j the j-th smallest used in ``b``.
+    """
     from scipy.optimize import linear_sum_assignment
 
-    ka = int(a.labels.max()) + 1 if len(a.labels) else 0
-    kb = int(b.labels.max()) + 1 if len(b.labels) else 0
-    confusion = np.zeros((max(ka, 1), max(kb, 1)), dtype=int)
-    np.add.at(confusion, (a.labels, b.labels), 1)
+    rank_a = {label: i for i, label in enumerate(sorted(set(a.labels.tolist())))}
+    rank_b = {label: j for j, label in enumerate(sorted(set(b.labels.tolist())))}
+    confusion = np.zeros((max(len(rank_a), 1), max(len(rank_b), 1)), dtype=int)
+    for la, lb in zip(a.labels.tolist(), b.labels.tolist()):
+        confusion[rank_a[la], rank_b[lb]] += 1
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     mapping = {int(r): int(c) for r, c in zip(rows, cols)}
     misplaced_ids = tuple(
         int(v) + a.index_base
         for v in range(len(a.labels))
-        if mapping.get(int(a.labels[v])) != int(b.labels[v])
+        if mapping.get(rank_a[int(a.labels[v])]) != rank_b[int(b.labels[v])]
     )
     return misplaced_ids
 
