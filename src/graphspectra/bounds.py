@@ -1,16 +1,17 @@
 """Affine spectral transforms and degree-extreme bounds on spectral differences.
 
-Three affine maps line spectra of the representation matrices up for
-index-wise comparison:
+Each matrix pair is lined up for index-wise comparison by one affine map
+of its source spectrum:
 
-    f1(mu)     = d1 - mu        adjacency -> unnormalised Laplacian scale
-    f2(lambda) = c1 * lambda    unnormalised -> normalised Laplacian scale
-    f3(mu)     = 1 - c2 * mu    adjacency -> normalised Laplacian scale
+    A_L    f1(mu)     = d - mu        adjacency -> unnormalised Laplacian scale
+    L_Lrw  f2(lambda) = c * lambda    unnormalised -> normalised Laplacian scale
+    A_Lrw  f3(mu)     = 1 - c * mu    adjacency -> normalised Laplacian scale
 
-with d1 = d2 = (d_max + d_min)/2 and c1 = c2 = 2/(d_max + d_min). The
-index-wise eigenvalue differences are then bounded in closed form by the
-graph's degree extremes alone, as are the differences of eigengaps
-normalised by each matrix's spectral support.
+with the one shift d = (d_max + d_min)/2 and the one scale
+c = 2/(d_max + d_min) (the paper's d1 = d2 and c1 = c2). The index-wise
+eigenvalue differences are then bounded in closed form by the graph's
+degree extremes alone, as are the differences of eigengaps normalised by
+each matrix's spectral support.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .graphs import DegreeSummary, Graph, class_tag, degree_summary
 from .spectra import (
     RepresentationKind,
     Spectrum,
-    UndefinedRepresentationError,
     normalized_eigengaps,
     spectrum,
 )
@@ -41,16 +41,18 @@ _SCALAR_LEVEL_WIDTH = 20
 _FACTOR_BLOCK = 1 << 15
 
 
-class Transform(Enum):
-    F1 = "f1"
-    F2 = "f2"
-    F3 = "f3"
-
-
 class MatrixPair(Enum):
     A_L = "A_L"
     L_LRW = "L_Lrw"
     A_LRW = "A_Lrw"
+
+
+# Each pair's source kind and target kind.
+PAIR_KINDS = {
+    MatrixPair.A_L: (RepresentationKind.ADJACENCY, RepresentationKind.LAPLACIAN),
+    MatrixPair.L_LRW: (RepresentationKind.LAPLACIAN, RepresentationKind.NORMALIZED_LAPLACIAN),
+    MatrixPair.A_LRW: (RepresentationKind.ADJACENCY, RepresentationKind.NORMALIZED_LAPLACIAN),
+}
 
 
 class Region(Enum):
@@ -63,6 +65,11 @@ class Region(Enum):
     ITALIC = "italic"
     NORMAL = "normal"
 
+    @property
+    def ordering(self) -> str:
+        """How the region orders e(A,L), e(L,Lrw) and e(A,Lrw)."""
+        return _ORDERINGS[self]
+
 
 _ORDERINGS = {
     Region.REGULAR: "e(A,L) = e(L,Lrw) = e(A,Lrw) = 0",
@@ -72,16 +79,6 @@ _ORDERINGS = {
     Region.ITALIC: "e(L,Lrw) < e(A,L) = e(A,Lrw)",
     Region.NORMAL: "e(L,Lrw) < e(A,Lrw) < e(A,L)",
 }
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Shift d1 = d2 and scale c1 = c2; the scale is None when d_max + d_min = 0."""
-
-    d1: float
-    d2: float
-    c1: Optional[float]
-    c2: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -103,12 +100,6 @@ class GapBoundSet:
     g_prime_llrw: Optional[float]
     g_alrw: Optional[float]
     g_prime_alrw: Optional[float]
-
-
-@dataclass(frozen=True)
-class RegionInfo:
-    region: Region
-    ordering: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +146,7 @@ class GapDifferences:
 
 @dataclass(frozen=True, eq=False)
 class WeylReport:
-    """Per-index check that d1 - mu_i - lambda_i stays in [d1-d_max, d1-d_min]."""
+    """Per-index check that d - mu_i - lambda_i stays in [d - d_max, d - d_min]."""
 
     ok: bool
     lower: float
@@ -183,45 +174,34 @@ class PolyMapReport:
     max_residual: Optional[float]
 
 
-def _params(ds: DegreeSummary) -> TransformParams:
-    # An edgeless graph has the shift (d1 = 0) but no scale.
+def _shift(ds: DegreeSummary) -> float:
+    return (ds.d_max + ds.d_min) / 2.0
+
+
+def _scale(ds: DegreeSummary) -> float:
+    # An edgeless graph has the shift (d = 0) but no scale.
     total = ds.d_max + ds.d_min
-    c = 2.0 / total if total > 0 else None
-    return TransformParams(d1=total / 2.0, d2=total / 2.0, c1=c, c2=c)
-
-
-def transform_params(ds: DegreeSummary) -> TransformParams:
-    """Shift d1 = d2 and scale c1 = c2 derived from the degree extremes."""
-    p = _params(ds)
-    _scale(p.c1)  # raises when d_max + d_min = 0
-    return p
-
-
-def _scale(c: Optional[float]) -> float:
-    if c is None:
+    if total <= 0:
         raise ValueError("transform parameters need d_max + d_min > 0")
-    return c
+    return 2.0 / total
 
 
-def apply_transform(which: Transform, p: TransformParams, s: Spectrum) -> np.ndarray:
-    """Apply one affine transform to a spectrum's values, index-aligned.
+def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np.ndarray:
+    """Map a pair's source spectrum onto its target's scale, index-aligned.
 
-    f1 and f3 take an adjacency spectrum (descending in, ascending out);
-    f2 takes an unnormalised Laplacian spectrum (ascending preserved).
+    A_L applies f1 and A_Lrw applies f3 to an adjacency spectrum
+    (descending in, ascending out); L_Lrw applies f2 to an unnormalised
+    Laplacian spectrum (ascending preserved). f2 and f3 need the scale,
+    so they raise when d_max + d_min = 0.
     """
-    if which is Transform.F1:
-        if s.kind is not RepresentationKind.ADJACENCY:
-            raise ValueError("f1 expects an adjacency spectrum")
-        return p.d1 - s.values
-    if which is Transform.F2:
-        if s.kind is not RepresentationKind.LAPLACIAN:
-            raise ValueError("f2 expects an unnormalised Laplacian spectrum")
-        return _scale(p.c1) * s.values
-    if which is Transform.F3:
-        if s.kind is not RepresentationKind.ADJACENCY:
-            raise ValueError("f3 expects an adjacency spectrum")
-        return 1.0 - _scale(p.c2) * s.values
-    raise ValueError(f"unknown transform {which!r}")
+    kind = PAIR_KINDS[pair][0]
+    if source.kind is not kind:
+        raise ValueError(f"pair {pair.value} maps the {kind.value} spectrum, got {source.kind.value}")
+    if pair is MatrixPair.A_L:
+        return _shift(ds) - source.values
+    if pair is MatrixPair.L_LRW:
+        return _scale(ds) * source.values
+    return 1.0 - _scale(ds) * source.values
 
 
 def eigenvalue_bound_set(ds: DegreeSummary) -> BoundSet:
@@ -285,54 +265,28 @@ def _gap_bounds(ds: DegreeSummary) -> GapBoundSet:
     )
 
 
-def classify_region(ds: DegreeSummary) -> RegionInfo:
+def classify_region(ds: DegreeSummary) -> Region:
     """Which of the six bound-ordering regions the degree extremes fall in.
 
     Regular graphs (d_min = d_max) take precedence; otherwise the region
-    is decided by d_min + d_max against the thresholds 4, 5 and 6.
+    is decided by d_min + d_max against the thresholds 4, 5 and 6. There
+    is no region for d_min = 0, where the Lrw bounds are undefined.
     """
     tag = class_tag(ds)
+    if tag.j == 0:
+        raise ValueError("no bound ordering for d_min = 0: e(L,Lrw) and e(A,Lrw) are undefined")
     if tag.j == tag.k:
-        region = Region.REGULAR
-    else:
-        total = tag.j + tag.k
-        if total < 4:
-            region = Region.BOLD
-        elif total == 4:
-            region = Region.UNDERLINED
-        elif total == 5:
-            region = Region.TELETYPE
-        elif total == 6:
-            region = Region.ITALIC
-        else:
-            region = Region.NORMAL
-    return RegionInfo(region=region, ordering=_ORDERINGS[region])
-
-
-# Each pair's source kind, target kind and the transform aligning source with target.
-PAIR_SPECTRA = {
-    MatrixPair.A_L: (RepresentationKind.ADJACENCY, RepresentationKind.LAPLACIAN, Transform.F1),
-    MatrixPair.L_LRW: (
-        RepresentationKind.LAPLACIAN, RepresentationKind.NORMALIZED_LAPLACIAN, Transform.F2),
-    MatrixPair.A_LRW: (
-        RepresentationKind.ADJACENCY, RepresentationKind.NORMALIZED_LAPLACIAN, Transform.F3),
-}
-
-
-def _pair_spectra(pair: MatrixPair, g: Graph) -> tuple[Spectrum, Spectrum, Transform]:
-    source, target, which = PAIR_SPECTRA[pair]
-    return spectrum(g, source), spectrum(g, target), which
-
-
-def pair_bound(pair: MatrixPair, ds: DegreeSummary) -> float:
-    """The eigenvalue-difference bound for one matrix pair."""
-    bounds = eigenvalue_bound_set(ds)
-    if pair is MatrixPair.A_L:
-        return bounds.e_al
-    value = bounds.e_llrw if pair is MatrixPair.L_LRW else bounds.e_alrw
-    if value is None:
-        raise UndefinedRepresentationError("Lrw pair bounds are undefined for d_min = 0")
-    return value
+        return Region.REGULAR
+    total = tag.j + tag.k
+    if total < 4:
+        return Region.BOLD
+    if total == 4:
+        return Region.UNDERLINED
+    if total == 5:
+        return Region.TELETYPE
+    if total == 6:
+        return Region.ITALIC
+    return Region.NORMAL
 
 
 def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
@@ -342,10 +296,11 @@ def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
     ``within_bound`` checks max |delta| against the pair's closed-form bound.
     """
     ds = degree_summary(g)
-    source, target, which = _pair_spectra(pair, g)
-    transformed = apply_transform(which, _params(ds), source)
+    source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
+    transformed = apply_transform(pair, ds, source)
     deltas = target.values - transformed
-    bound = pair_bound(pair, ds)
+    b = eigenvalue_bound_set(ds)
+    bound = {MatrixPair.A_L: b.e_al, MatrixPair.L_LRW: b.e_llrw, MatrixPair.A_LRW: b.e_alrw}[pair]
     within = bool(np.abs(deltas).max(initial=0.0) <= bound + BOUND_SLACK)
     return PairDifferences(
         pair=pair,
@@ -388,25 +343,21 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
     eigengap, bounded by e(L,Lrw) resp. e'(A,Lrw).
     """
     ds = degree_summary(g)
-    source, target, which = _pair_spectra(pair, g)
+    source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
     source_gaps = normalized_eigengaps(source)
     target_gaps = normalized_eigengaps(target)
     diffs = np.abs(source_gaps - target_gaps)
-    gap_bounds = gap_bound_set(ds)
-    if pair is MatrixPair.A_L:
-        bound = gap_bounds.g_al
-        primed_diffs: Optional[np.ndarray] = None
-        primed_bound: Optional[float] = None
-    else:
-        params = transform_params(ds)
+    gb = gap_bound_set(ds)
+    bound, primed_bound = {
+        MatrixPair.A_L: (gb.g_al, None),
+        MatrixPair.L_LRW: (gb.g_llrw, gb.g_prime_llrw),
+        MatrixPair.A_LRW: (gb.g_alrw, gb.g_prime_alrw),
+    }[pair]
+    primed_diffs: Optional[np.ndarray] = None
+    if primed_bound is not None:
         raw_source = source_gaps * source.support_length
         raw_target = target_gaps * target.support_length
-        scale = params.c1 if pair is MatrixPair.L_LRW else params.c2
-        primed_diffs = 0.5 * np.abs(scale * raw_source - raw_target)
-        if pair is MatrixPair.L_LRW:
-            bound, primed_bound = gap_bounds.g_llrw, gap_bounds.g_prime_llrw
-        else:
-            bound, primed_bound = gap_bounds.g_alrw, gap_bounds.g_prime_alrw
+        primed_diffs = 0.5 * np.abs(_scale(ds) * raw_source - raw_target)
     within = bool(diffs.max(initial=0.0) <= bound + BOUND_SLACK)
     primed_within = (
         None
@@ -426,39 +377,38 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
     )
 
 
-def mapped_support(which: Transform, ds: DegreeSummary) -> tuple[float, float]:
-    """Image of the source spectral support under one affine transform.
+def mapped_support(pair: MatrixPair, ds: DegreeSummary) -> tuple[float, float]:
+    """Image of the pair's source spectral support under the pair's affine map.
 
-    f1 needs only the shift, so it is defined on an edgeless graph (image
-    (0, 0)); f2 and f3 need the scale 2/(d_max + d_min) and raise there.
+    f1 (A_L) needs only the shift, so it is defined on an edgeless graph
+    (image (0, 0)); f2 (L_Lrw) and f3 (A_Lrw) need the scale
+    2/(d_max + d_min) and raise there.
     """
     diff = ds.d_max - ds.d_min
-    if which is Transform.F1:
+    if pair is MatrixPair.A_L:
         return (-diff / 2.0, (3.0 * ds.d_max + ds.d_min) / 2.0)
     total = ds.d_max + ds.d_min
     if total <= 0:
         raise ValueError("mapped supports of f2 and f3 need d_max + d_min > 0")
-    if which is Transform.F2:
+    if pair is MatrixPair.L_LRW:
         return (0.0, 4.0 * ds.d_max / total)
-    if which is Transform.F3:
-        return (-diff / total, (3.0 * ds.d_max + ds.d_min) / total)
-    raise ValueError(f"unknown transform {which!r}")
+    return (-diff / total, (3.0 * ds.d_max + ds.d_min) / total)
 
 
 def weyl_check(g: Graph) -> WeylReport:
     """Independent interval check on the A_L relation via Weyl's inequality.
 
-    The shifted adjacency d1*I - A perturbs the Laplacian by the diagonal
-    d1*I - D, so each shifted eigenvalue d1 - mu_i must differ from
-    lambda_i by something in [d1 - d_max, d1 - d_min].
+    The shifted adjacency d*I - A perturbs the Laplacian by the diagonal
+    d*I - D, so each shifted eigenvalue d - mu_i must differ from
+    lambda_i by something in [d - d_max, d - d_min].
     """
     ds = degree_summary(g)
-    params = _params(ds)
+    d = _shift(ds)
     mu = spectrum(g, RepresentationKind.ADJACENCY).values
     lam = spectrum(g, RepresentationKind.LAPLACIAN).values
-    differences = (params.d1 - mu) - lam
-    lower = params.d1 - ds.d_max
-    upper = params.d1 - ds.d_min
+    differences = (d - mu) - lam
+    lower = d - ds.d_max
+    upper = d - ds.d_min
     ok = bool(
         np.all(differences >= lower - BOUND_SLACK) and np.all(differences <= upper + BOUND_SLACK)
     )

@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import (
     DEFAULT_CROSSOVER_TOL,
     DEFAULT_MERGE_TOL,
-    PAIR_SPECTRA,
+    PAIR_KINDS,
     MatrixPair,
     classify_region,
     detect_maximal_crossover,
@@ -130,14 +130,15 @@ def _cmd_info(args) -> int:
         "component_count": connected_components(g).component_count,
         "rescaled": g.rescaled,
     }
+    out["class"] = out["region"] = out["ordering"] = None
     try:
         tag = class_tag(ds)
-        info = classify_region(ds)
         out["class"] = {"j": tag.j, "k": tag.k}
-        out["region"] = info.region.value
-        out["ordering"] = info.ordering
-    except ValueError:
-        out["class"] = out["region"] = out["ordering"] = None
+        region = classify_region(ds)
+        out["region"] = region.value
+        out["ordering"] = region.ordering
+    except ValueError:  # no integer class, or no region for d_min = 0
+        pass
     _print_json(out)
     return 0
 
@@ -284,21 +285,22 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    if args.file is not None:
+    extremes = (args.dmin, args.dmax)
+    if args.file is not None and extremes == (None, None):
         ds = degree_summary(_load_graph(args.file, args.input_format))
-    elif args.dmin is not None and args.dmax is not None:
+    elif args.file is None and None not in extremes:
         if not 0 <= args.dmin <= args.dmax <= sys.float_info.max:
             raise ValueError("region needs 0 <= --dmin <= --dmax, both finite as floats")
         ds = DegreeSummary(float(args.dmin), float(args.dmax))
     else:
         print("error: region needs a FILE or both --dmin and --dmax", file=sys.stderr)
         return 2
-    info = classify_region(ds)
+    region = classify_region(ds)
     _print_json({
         "d_min": float(ds.d_min),
         "d_max": float(ds.d_max),
-        "region": info.region.value,
-        "ordering": info.ordering,
+        "region": region.value,
+        "ordering": region.ordering,
     })
     return 0
 
@@ -344,9 +346,8 @@ def _cmd_crossover(args) -> int:
 
 def _cmd_polymap(args) -> int:
     g = _load_graph(args.file, args.input_format)
-    src_kind, dst_kind, _ = PAIR_SPECTRA[MatrixPair(args.pair)]
-    report = polynomial_spectrum_map(spectrum(g, src_kind), spectrum(g, dst_kind),
-                                     merge_tol=args.merge_tol)
+    src, dst = (spectrum(g, kind) for kind in PAIR_KINDS[MatrixPair(args.pair)])
+    report = polynomial_spectrum_map(src, dst, merge_tol=args.merge_tol)
     _print_json({
         "pair": args.pair,
         "merge_tol": args.merge_tol,

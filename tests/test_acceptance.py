@@ -34,10 +34,9 @@ from graphspectra import (
     pair_differences,
     polynomial_spectrum_map,
     spectrum,
-    transform_params,
     weyl_check,
 )
-from graphspectra.bounds import Transform
+from graphspectra.bounds import PAIR_KINDS
 from graphspectra.cli import bound_table_cell
 from graphspectra.clustering import ClusteringResult
 from graphspectra.graphs import DegreeSummary
@@ -75,7 +74,7 @@ class TestAcceptance:
         assert abs(bounds.e_al - 8.00) <= 0.005
         assert abs(bounds.e_llrw - 1.78) <= 0.005
         assert abs(bounds.e_alrw - 2.67) <= 0.005
-        assert classify_region(ds).region is Region.NORMAL
+        assert classify_region(ds) is Region.NORMAL
 
     @criterion("02 bound table reproduces every printed cell")
     def test_bound_table(self):
@@ -111,8 +110,10 @@ class TestAcceptance:
     @criterion("03 region transitions and bound orderings up to d_max 20")
     def test_region_transitions(self):
         for k in range(0, 21):
-            for j in range(0, k + 1):
-                region = classify_region(summary(j, k)).region
+            with pytest.raises(ValueError, match="no bound ordering for d_min = 0"):
+                classify_region(summary(0, k))
+            for j in range(1, k + 1):
+                region = classify_region(summary(j, k))
                 if j == k:
                     assert region is Region.REGULAR
                 elif j + k < 4:
@@ -125,8 +126,6 @@ class TestAcceptance:
                     assert region is Region.ITALIC
                 else:
                     assert region is Region.NORMAL
-                if j == 0:
-                    continue
                 bounds = eigenvalue_bound_set(summary(j, k))
                 triple = (bounds.e_al, bounds.e_llrw, bounds.e_alrw)
                 if region is Region.REGULAR:
@@ -211,12 +210,11 @@ class TestAcceptance:
                 assert gaps.bound - gaps.diffs.max() >= -1e-9
                 if gaps.primed_diffs is not None:
                     assert gaps.primed_bound - gaps.primed_diffs.max() >= -1e-9
-            params = transform_params(ds)
-            for which, kind in ((Transform.F1, A), (Transform.F2, L), (Transform.F3, A)):
+            for pair, (kind, _) in PAIR_KINDS.items():
                 spec = spectrum(g, kind)
-                mapped = apply_transform(which, params, spec)
+                mapped = apply_transform(pair, ds, spec)
                 assert np.all(mapped[1:] >= mapped[:-1] - 1e-12), "order not preserved"
-                lo, hi = mapped_support(which, ds)
+                lo, hi = mapped_support(pair, ds)
                 mapped_gaps = (mapped[1:] - mapped[:-1]) / (hi - lo)
                 assert np.abs(mapped_gaps - normalized_eigengaps(spec)).max() <= 1e-12
 

@@ -25,7 +25,6 @@ from graphspectra import (
     MatrixPair,
     Region,
     RepresentationKind,
-    Transform,
     UndefinedRepresentationError,
     apply_transform,
     classify_region,
@@ -43,7 +42,6 @@ from graphspectra import (
     pair_differences,
     polynomial_spectrum_map,
     spectrum,
-    transform_params,
     weyl_check,
 )
 from graphspectra import bounds, spectra
@@ -76,54 +74,68 @@ def random_graph(rng, n, p=0.5):
 
 
 class TestTransformParams:
-    def test_karate_class(self):
-        p = transform_params(summary(1, 17))
-        assert p.d1 == p.d2 == 9.0
-        assert p.c1 == p.c2 == pytest.approx(1 / 9)
+    """The shift d = (d_max + d_min)/2 and the scale c = 2/(d_max + d_min), bit for bit."""
+
+    def test_karate_class(self, karate):
+        ds = degree_summary(karate)
+        mu, lam = spectrum(karate, A), spectrum(karate, L)
+        assert np.all(apply_transform(MatrixPair.A_L, ds, mu) + mu.values == 9.0)
+        f2 = apply_transform(MatrixPair.L_LRW, ds, lam)
+        assert f2.tobytes() == ((2 / 18) * lam.values).tobytes()
 
     def test_regular(self):
-        p = transform_params(summary(2, 2))
-        assert (p.d1, p.c1) == (2.0, 0.5)
+        g = gen_complete(3)
+        ds = degree_summary(g)
+        mu, lam = spectrum(g, A), spectrum(g, L)
+        assert apply_transform(MatrixPair.A_L, ds, mu).tobytes() == (2.0 - mu.values).tobytes()
+        assert apply_transform(MatrixPair.L_LRW, ds, lam).tobytes() == (0.5 * lam.values).tobytes()
 
     def test_path_class(self):
-        p = transform_params(summary(1, 2))
-        assert p.d1 == 1.5
-        assert p.c1 == pytest.approx(2 / 3)
+        g = path3()
+        ds = degree_summary(g)
+        mu, lam = spectrum(g, A), spectrum(g, L)
+        assert apply_transform(MatrixPair.A_L, ds, mu).tobytes() == (1.5 - mu.values).tobytes()
+        f3 = apply_transform(MatrixPair.A_LRW, ds, mu)
+        assert f3.tobytes() == (1.0 - (2 / 3) * mu.values).tobytes()
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            transform_params(summary(0, 0))
+        """An edgeless graph has the shift d = 0 but no scale."""
+        g = load_edge_list("nodes 3\n")
+        ds = degree_summary(g)
+        assert np.array_equal(apply_transform(MatrixPair.A_L, ds, spectrum(g, A)), np.zeros(3))
+        for pair, kind in ((MatrixPair.L_LRW, L), (MatrixPair.A_LRW, A)):
+            with pytest.raises(ValueError, match="d_max \\+ d_min > 0"):
+                apply_transform(pair, ds, spectrum(g, kind))
 
 
 class TestApplyTransform:
     def test_f1_on_k3_recovers_laplacian(self):
         g = gen_complete(3)
-        mapped = apply_transform(Transform.F1, transform_params(degree_summary(g)), spectrum(g, A))
+        mapped = apply_transform(MatrixPair.A_L, degree_summary(g), spectrum(g, A))
         np.testing.assert_allclose(mapped, spectrum(g, L).values, atol=1e-8)
 
     def test_f2_on_p3(self):
         g = path3()
-        mapped = apply_transform(Transform.F2, transform_params(degree_summary(g)), spectrum(g, L))
+        mapped = apply_transform(MatrixPair.L_LRW, degree_summary(g), spectrum(g, L))
         np.testing.assert_allclose(mapped, [0.0, 2 / 3, 2.0], atol=1e-8)
         eta = spectrum(g, LRW).values
         np.testing.assert_allclose(eta - mapped, [0.0, 1 / 3, 0.0], atol=1e-8)
 
     def test_f3_on_star_matches_eta_in_the_middle(self, star18):
-        mapped = apply_transform(
-            Transform.F3, transform_params(degree_summary(star18)), spectrum(star18, A))
+        mapped = apply_transform(MatrixPair.A_LRW, degree_summary(star18), spectrum(star18, A))
         eta = spectrum(star18, LRW).values
         np.testing.assert_allclose(mapped[1:17], np.ones(16), atol=1e-8)
         np.testing.assert_allclose(eta[1:17] - mapped[1:17], np.zeros(16), atol=1e-8)
 
     def test_kind_mismatch_rejected(self):
+        """Each pair rejects every kind but its source kind."""
         g = gen_complete(3)
-        p = transform_params(degree_summary(g))
-        with pytest.raises(ValueError, match="adjacency"):
-            apply_transform(Transform.F1, p, spectrum(g, L))
-        with pytest.raises(ValueError, match="Laplacian"):
-            apply_transform(Transform.F2, p, spectrum(g, A))
-        with pytest.raises(ValueError, match="adjacency"):
-            apply_transform(Transform.F3, p, spectrum(g, LRW))
+        ds = degree_summary(g)
+        for pair, (source, _) in bounds.PAIR_KINDS.items():
+            for kind in set(RepresentationKind) - {source}:
+                message = f"pair {pair.value} maps the {source.value} spectrum, got {kind.value}$"
+                with pytest.raises(ValueError, match=message):
+                    apply_transform(pair, ds, spectrum(g, kind))
 
 
 class TestEigenvalueBoundSet:
@@ -199,12 +211,12 @@ class TestGapBoundSet:
 
 class TestClassifyRegion:
     def test_named_examples(self):
-        assert classify_region(summary(1, 2)).region is Region.BOLD
-        assert classify_region(summary(1, 3)).region is Region.UNDERLINED
-        assert classify_region(summary(2, 3)).region is Region.TELETYPE
-        assert classify_region(summary(2, 4)).region is Region.ITALIC
-        assert classify_region(summary(1, 17)).region is Region.NORMAL
-        assert classify_region(summary(3, 3)).region is Region.REGULAR
+        assert classify_region(summary(1, 2)) is Region.BOLD
+        assert classify_region(summary(1, 3)) is Region.UNDERLINED
+        assert classify_region(summary(2, 3)) is Region.TELETYPE
+        assert classify_region(summary(2, 4)) is Region.ITALIC
+        assert classify_region(summary(1, 17)) is Region.NORMAL
+        assert classify_region(summary(3, 3)) is Region.REGULAR
 
     def test_bold_ordering_values(self):
         b = eigenvalue_bound_set(summary(1, 2))
@@ -221,17 +233,17 @@ class TestClassifyRegion:
         """The predicted ordering string must hold for the actual bound values."""
         for j in range(1, 21):
             for k in range(j, 21):
-                info = classify_region(summary(j, k))
+                region = classify_region(summary(j, k))
                 b = eigenvalue_bound_set(summary(j, k))
-                if info.region is Region.REGULAR:
+                if region is Region.REGULAR:
                     assert b.e_al == b.e_llrw == b.e_alrw == 0.0
-                elif info.region is Region.BOLD:
+                elif region is Region.BOLD:
                     assert b.e_al < b.e_llrw < b.e_alrw
-                elif info.region is Region.UNDERLINED:
+                elif region is Region.UNDERLINED:
                     assert b.e_al == pytest.approx(b.e_llrw) and b.e_llrw < b.e_alrw
-                elif info.region is Region.TELETYPE:
+                elif region is Region.TELETYPE:
                     assert b.e_llrw < b.e_al < b.e_alrw
-                elif info.region is Region.ITALIC:
+                elif region is Region.ITALIC:
                     assert b.e_llrw < b.e_al and b.e_al == pytest.approx(b.e_alrw)
                 else:
                     assert b.e_llrw < b.e_alrw < b.e_al
@@ -380,32 +392,31 @@ class TestFactsComputedOnce:
 
 class TestMappedSupport:
     def test_f1_class_1_17(self):
-        assert mapped_support(Transform.F1, summary(1, 17)) == (-8.0, 26.0)
+        assert mapped_support(MatrixPair.A_L, summary(1, 17)) == (-8.0, 26.0)
 
     def test_f2_regular_hits_lrw_support(self):
-        assert mapped_support(Transform.F2, summary(3, 3)) == (0.0, 2.0)
+        assert mapped_support(MatrixPair.L_LRW, summary(3, 3)) == (0.0, 2.0)
 
     def test_f3_class_1_17(self):
-        lo, hi = mapped_support(Transform.F3, summary(1, 17))
+        lo, hi = mapped_support(MatrixPair.A_LRW, summary(1, 17))
         assert lo == pytest.approx(-8 / 9)
         assert hi == pytest.approx(26 / 9)
 
     def test_edgeless_f1_is_the_origin_f2_f3_undefined(self):
-        """f1 needs only the shift d1 = 0; f2 and f3 need the scale 2/(d_max + d_min)."""
+        """f1 needs only the shift d = 0; f2 and f3 need the scale 2/(d_max + d_min)."""
         g = load_edge_list("nodes 3\n")
         ds = degree_summary(g)
-        assert mapped_support(Transform.F1, ds) == (0.0, 0.0)
+        assert mapped_support(MatrixPair.A_L, ds) == (0.0, 0.0)
         assert np.array_equal(pair_differences(MatrixPair.A_L, g).transformed, np.zeros(3))
-        for which in (Transform.F2, Transform.F3):
+        for pair in (MatrixPair.L_LRW, MatrixPair.A_LRW):
             with pytest.raises(ValueError, match="d_max \\+ d_min > 0"):
-                mapped_support(which, ds)
+                mapped_support(pair, ds)
 
     def test_transformed_spectra_inside_mapped_support(self, karate):
         ds = degree_summary(karate)
-        p = transform_params(ds)
-        for which, kind in ((Transform.F1, A), (Transform.F2, L), (Transform.F3, A)):
-            mapped = apply_transform(which, p, spectrum(karate, kind))
-            lo, hi = mapped_support(which, ds)
+        for pair, (kind, _) in bounds.PAIR_KINDS.items():
+            mapped = apply_transform(pair, ds, spectrum(karate, kind))
+            lo, hi = mapped_support(pair, ds)
             assert mapped.min() >= lo - 1e-9
             assert mapped.max() <= hi + 1e-9
 
@@ -613,7 +624,7 @@ class TestPolymapMatchesReference:
 
     def test_spectra_of_named_graphs(self, karate, star18, bipartite_b, graph_c18):
         for g in (karate, star18, bipartite_b, graph_c18, path3(), gen_complete(5)):
-            for source, target, _ in bounds.PAIR_SPECTRA.values():
+            for source, target in bounds.PAIR_KINDS.values():
                 for merge_tol in (0.0, DEFAULT_MERGE_TOL, 1e-6):
                     _assert_polymap_matches_reference(spectrum(g, source).values,
                                                       spectrum(g, target).values, merge_tol)
@@ -676,22 +687,19 @@ class TestTransformProperties:
     def test_order_preservation(self, karate, star18, bipartite_b, graph_c18):
         """f1/f3 turn descending adjacency values ascending; f2 keeps ascending."""
         for g in (karate, star18, bipartite_b, graph_c18):
-            p = transform_params(degree_summary(g))
-            f1 = apply_transform(Transform.F1, p, spectrum(g, A))
-            f3 = apply_transform(Transform.F3, p, spectrum(g, A))
-            f2 = apply_transform(Transform.F2, p, spectrum(g, L))
-            for mapped in (f1, f2, f3):
+            ds = degree_summary(g)
+            for pair, (kind, _) in bounds.PAIR_KINDS.items():
+                mapped = apply_transform(pair, ds, spectrum(g, kind))
                 assert np.all(mapped[1:] >= mapped[:-1] - 1e-12)
 
     def test_normalized_eigengap_preservation(self, karate, bipartite_b):
         """Gaps over the mapped support equal gaps over the source support to 1e-12."""
         for g in (karate, bipartite_b):
             ds = degree_summary(g)
-            p = transform_params(ds)
-            for which, kind in ((Transform.F1, A), (Transform.F2, L), (Transform.F3, A)):
+            for pair, (kind, _) in bounds.PAIR_KINDS.items():
                 spec = spectrum(g, kind)
-                mapped = apply_transform(which, p, spec)
-                lo, hi = mapped_support(which, ds)
+                mapped = apply_transform(pair, ds, spec)
+                lo, hi = mapped_support(pair, ds)
                 mapped_gaps = (mapped[1:] - mapped[:-1]) / (hi - lo)
                 source_gaps = normalized_eigengaps(spec)
                 assert np.abs(mapped_gaps - source_gaps).max() <= 1e-12

@@ -259,6 +259,24 @@ class TestRegion:
         assert code == 2
         assert "dmin" in err
 
+    @pytest.mark.parametrize("argv", [(KARATE, "--dmin", "3"),
+                                      (KARATE, "--dmin", "3", "--dmax", "3"),
+                                      ("--dmin", "3")],
+                             ids=["file_and_dmin", "file_and_both", "dmin_alone"])
+    def test_file_xor_both_extremes(self, capsys, argv):
+        """A FILE given with --dmin or --dmax would silently ignore the extremes."""
+        code, out, err = run(capsys, "region", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: region needs a FILE or both --dmin and --dmax\n"
+
+    @pytest.mark.parametrize("dmax", ["0", "1"])
+    def test_no_ordering_for_zero_dmin(self, capsys, dmax):
+        """d_min = 0 leaves e(L,Lrw) and e(A,Lrw) undefined, so there is nothing to order."""
+        code, out, err = run(capsys, "region", "--dmin", "0", "--dmax", dmax)
+        assert (code, out) == (1, "")
+        assert err == ("error: no bound ordering for d_min = 0: "
+                       "e(L,Lrw) and e(A,Lrw) are undefined\n")
+
     @pytest.mark.parametrize("dmin, dmax", [("5", "3"), ("-1", "3"), ("0", str(10**400))],
                              ids=["dmin_above_dmax", "negative_dmin", "dmax_beyond_float"])
     def test_impossible_extremes_are_one_error_line(self, capsys, dmin, dmax):
