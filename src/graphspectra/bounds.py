@@ -34,11 +34,7 @@ from .spectra import (
 BOUND_SLACK = 1e-9
 DEFAULT_CROSSOVER_TOL = 1e-6
 DEFAULT_MERGE_TOL = 1e-12
-# Divided-difference levels at most this wide run as float arithmetic on
-# lists: below it a numpy call per level costs more than the arithmetic.
-_SCALAR_LEVEL_WIDTH = 20
-# Values of the x - node factor table newton_eval holds at once (256 KiB).
-_FACTOR_BLOCK = 1 << 15
+_EPS = float(np.finfo(float).eps)
 
 
 class MatrixPair(Enum):
@@ -46,12 +42,21 @@ class MatrixPair(Enum):
     L_LRW = "L_Lrw"
     A_LRW = "A_Lrw"
 
+    __hash__ = object.__hash__  # as RepresentationKind: identity, not Enum's Python-level hash
+
 
 # Each pair's source kind and target kind.
 PAIR_KINDS = {
     MatrixPair.A_L: (RepresentationKind.ADJACENCY, RepresentationKind.LAPLACIAN),
     MatrixPair.L_LRW: (RepresentationKind.LAPLACIAN, RepresentationKind.NORMALIZED_LAPLACIAN),
     MatrixPair.A_LRW: (RepresentationKind.ADJACENCY, RepresentationKind.NORMALIZED_LAPLACIAN),
+}
+
+# The BoundSet field and the GapBoundSet fields (gap, primed gap) that bound each pair.
+_BOUND_FIELDS = {
+    MatrixPair.A_L: ("e_al", "g_al", None),
+    MatrixPair.L_LRW: ("e_llrw", "g_llrw", "g_prime_llrw"),
+    MatrixPair.A_LRW: ("e_alrw", "g_alrw", "g_prime_alrw"),
 }
 
 
@@ -159,18 +164,26 @@ class PolyMapReport:
     """Outcome of interpolating one spectrum onto another.
 
     When near-coincident source eigenvalues must map to targets further
-    apart than the merge tolerance, the interpolation problem is
-    numerically degenerate: ``unstable`` is set and no coefficients are
-    produced. Otherwise ``nodes``/``coefficients`` hold the Newton form
-    of the interpolant built on de-duplicated source nodes.
-    ``min_input_gap`` is None when the spectrum has fewer than two values.
+    apart than the merge tolerance, the problem is numerically degenerate:
+    ``unstable`` is set and nothing is fitted. Otherwise ``nodes`` are the
+    merged source values, ascending, and ``weights`` their barycentric
+    weights 1/prod_{k != j}(x_j - x_k) over the largest |w_j|; with the
+    targets at the nodes they give the interpolant (``barycentric_eval``).
+    ``lebesgue_constant`` is the largest Lebesgue function value
+    sum_j |w_j/(t - x_j)| / |sum_j w_j/(t - x_j)| over the midpoints t of
+    consecutive nodes, a lower bound on Lambda (1 for one node). The fit is
+    also ``unstable`` when Lambda * eps * max|y| exceeds the merge
+    tolerance, and only a stable fit has ``max_residual``, the largest
+    |p(x) - y| over the source values. ``min_input_gap`` is None when the
+    spectrum has fewer than two values.
     """
 
     unstable: bool
     min_input_gap: Optional[float]
     output_span_over_degenerate_inputs: float
     nodes: Optional[np.ndarray]
-    coefficients: Optional[np.ndarray]
+    weights: Optional[np.ndarray]
+    lebesgue_constant: Optional[float]
     max_residual: Optional[float]
 
 
@@ -299,8 +312,7 @@ def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
     source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
     transformed = apply_transform(pair, ds, source)
     deltas = target.values - transformed
-    b = eigenvalue_bound_set(ds)
-    bound = {MatrixPair.A_L: b.e_al, MatrixPair.L_LRW: b.e_llrw, MatrixPair.A_LRW: b.e_alrw}[pair]
+    bound = getattr(eigenvalue_bound_set(ds), _BOUND_FIELDS[pair][0])
     within = bool(np.abs(deltas).max(initial=0.0) <= bound + BOUND_SLACK)
     return PairDifferences(
         pair=pair,
@@ -348,11 +360,9 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
     target_gaps = normalized_eigengaps(target)
     diffs = np.abs(source_gaps - target_gaps)
     gb = gap_bound_set(ds)
-    bound, primed_bound = {
-        MatrixPair.A_L: (gb.g_al, None),
-        MatrixPair.L_LRW: (gb.g_llrw, gb.g_prime_llrw),
-        MatrixPair.A_LRW: (gb.g_alrw, gb.g_prime_alrw),
-    }[pair]
+    _, gap_field, primed_field = _BOUND_FIELDS[pair]
+    bound = getattr(gb, gap_field)
+    primed_bound = None if primed_field is None else getattr(gb, primed_field)
     primed_diffs: Optional[np.ndarray] = None
     if primed_bound is not None:
         raw_source = source_gaps * source.support_length
@@ -415,50 +425,37 @@ def weyl_check(g: Graph) -> WeylReport:
     return WeylReport(ok=ok, lower=lower, upper=upper, differences=differences)
 
 
-def _newton_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Divided differences f[x_0..x_j] of y over strictly increasing nodes x.
+def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
+    """w_j = 1 / prod_{k != j} (x_j - x_k) over strictly increasing nodes, over max |w_j|.
 
-    Level j of the table is (v[t+1] - v[t]) / (x[t+j] - x[t]) over level
-    j - 1, and its first entry is coefficient j. Levels wider than
-    ``_SCALAR_LEVEL_WIDTH`` take one numpy step each; the narrower rest do
-    the same IEEE operations on Python floats, which beats a numpy call per
-    level at those widths. The nodes are distinct, so no divisor is zero.
+    The products are sums of log|x_j - x_k|, so no weight overflows. x_j - x_k
+    is negative for the m - 1 - j nodes above x_j, which sets the sign.
     """
-    m = len(x)
-    split = max(1, m - _SCALAR_LEVEL_WIDTH)
-    level = np.asarray(y, dtype=float)
-    coef = [level[0]]
-    for j in range(1, split):
-        level = (level[1:] - level[:-1]) / (x[j:] - x[:-j])
-        coef.append(level[0])
-    level, xs = level.tolist(), x.tolist()
-    for j in range(split, m):
-        level = [(b - a) / (xi - xk) for a, b, xi, xk in zip(level, level[1:], xs[j:], xs)]
-        coef.append(level[0])
-    return np.array(coef)
+    gaps = np.abs(nodes[:, None] - nodes)
+    np.fill_diagonal(gaps, 1.0)
+    logs = np.log(gaps).sum(axis=1)
+    weights = np.exp(logs.min() - logs)
+    weights[-2::-2] *= -1.0
+    return weights
 
 
-def newton_eval(nodes: np.ndarray, coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate a Newton-form polynomial at x of any shape (Horner over the node basis).
+def barycentric_eval(
+    nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """The interpolant through (nodes, values) at each t of a 1-d array.
 
-    Each step is acc = acc * (x - node) + c, from the last coefficient
-    down. The factors x - node of a block of nodes come from one
-    subtraction, with at most ``_FACTOR_BLOCK`` values per block, and acc
-    is updated in place: two numpy calls per node, whatever the shape of x.
-    Overflow follows IEEE arithmetic (inf, then NaN from inf - inf) and
-    warns as numpy does.
+    The second barycentric formula sum_j c_j y_j / sum_j c_j, c_j = w_j/(t - x_j),
+    with each row of c times its smallest |t - x_j|: the factor cancels and
+    keeps every |c_j| <= |w_j|, so nothing overflows. Where t equals nodes[j]
+    the result is values[j] exactly.
     """
-    x = np.asarray(x, dtype=float)
-    acc = np.full_like(x, coefficients[-1])
-    rows = max(1, _FACTOR_BLOCK // max(1, x.size))
-    column = (-1,) + (1,) * x.ndim
-    for top in range(len(nodes) - 1, 0, -rows):
-        block = slice(max(0, top - rows), top)
-        factors = np.subtract(x, nodes[block][::-1].reshape(column))
-        for factor, c in zip(factors, coefficients[block][::-1].tolist()):
-            acc *= factor
-            acc += c
-    return acc
+    d = np.asarray(t, dtype=float)[:, None] - nodes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = weights * (np.abs(d).min(axis=1, keepdims=True) / d)
+        result = (terms @ values) / terms.sum(axis=1)
+    rows, cols = np.nonzero(d == 0.0)
+    result[rows] = values[cols]
+    return result
 
 
 def polynomial_spectrum_map(
@@ -471,18 +468,13 @@ def polynomial_spectrum_map(
     cluster's target values span more than ``merge_tol`` the map is
     numerically degenerate and reported unstable instead of fitted.
 
-    Otherwise the Newton form is fitted on the merged nodes and evaluated
-    at every source value for the residual. For n values and m nodes the
-    work is O(n log n) to sort and merge, O(m^2) divided differences and
-    O(n m) evaluation. At the n <= 64 of a desk-scale graph the cost is
-    numpy call overhead, so the table's narrow levels run as float
-    arithmetic and the evaluation takes two numpy calls per node. Every
-    field is the same, bit for bit, as evaluating the textbook recurrences
-    level by level.
-
-    The fit runs in IEEE arithmetic without warnings: when the divided
-    differences or the evaluation overflow, coefficients and residual
-    carry inf, and NaN where inf - inf arises, rather than raising.
+    Otherwise the m merged nodes get barycentric weights and a Lebesgue
+    constant estimate (see PolyMapReport). The second barycentric formula
+    is forward stable with an error of order Lambda * eps * max|y| (Higham
+    2004), so the map is also unstable when that exceeds ``merge_tol``;
+    only a stable map is evaluated at every source value for the residual.
+    The work is O(n log n) to sort and merge and O(n m) in a few numpy
+    calls for the rest; nothing overflows or warns.
     """
     if not (np.isfinite(merge_tol) and merge_tol >= 0):
         raise ValueError(f"merge tolerance must be finite and non-negative, got {merge_tol}")
@@ -493,7 +485,7 @@ def polynomial_spectrum_map(
     order = np.argsort(src.values, kind="stable")
     x = src.values[order]
     y = dst.values[order]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         input_gaps = np.diff(x)
         min_input_gap = float(input_gaps.min()) if len(input_gaps) else None
         # A cluster starts wherever the sorted values step by more than merge_tol.
@@ -503,23 +495,27 @@ def polynomial_spectrum_map(
             spans = np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)
             # Only positive spans count: a single value spans 0, and NaN is skipped.
             worst_span = float(spans[spans > 0.0].max(initial=0.0))
-        if worst_span > merge_tol:
-            return PolyMapReport(
-                unstable=True,
-                min_input_gap=min_input_gap,
-                output_span_over_degenerate_inputs=worst_span,
-                nodes=None,
-                coefficients=None,
-                max_residual=None,
-            )
-        nodes = x[starts]
-        coefficients = _newton_coefficients(nodes, y[starts])
-        residual = float(np.abs(newton_eval(nodes, coefficients, x) - y).max())
+        nodes = weights = lebesgue = residual = None
+        unstable = worst_span > merge_tol
+        if not unstable:
+            nodes = x[starts]
+            weights = _barycentric_weights(nodes)
+            # Row k holds the terms at midpoint k times half its gap, as in barycentric_eval.
+            half = (nodes[1:] - nodes[:-1])[:, None] / 2.0
+            terms = weights * (half / (nodes[:-1, None] + half - nodes))
+            # A midpoint that rounds onto a node gives NaN, which fmax skips; Lambda >= 1.
+            lebesgue = float(np.fmax.reduce(
+                np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1)), initial=1.0))
+            # Written so that a NaN target, which no bound covers, counts as unstable.
+            unstable = not lebesgue * _EPS * np.abs(y).max() <= merge_tol
+    if not unstable:
+        residual = float(np.abs(barycentric_eval(nodes, weights, y[starts], x) - y).max())
     return PolyMapReport(
-        unstable=False,
+        unstable=unstable,
         min_input_gap=min_input_gap,
         output_span_over_degenerate_inputs=worst_span,
         nodes=nodes,
-        coefficients=coefficients,
+        weights=weights,
+        lebesgue_constant=lebesgue,
         max_residual=residual,
     )

@@ -355,8 +355,9 @@ def _cmd_polymap(args) -> int:
         "min_input_gap": report.min_input_gap,
         "output_span_over_degenerate_inputs": report.output_span_over_degenerate_inputs,
         "nodes": None if report.nodes is None else report.nodes.tolist(),
-        "coefficients": (None if report.coefficients is None
-                         else [_json_float(c) for c in report.coefficients.tolist()]),
+        "weights": None if report.weights is None else report.weights.tolist(),
+        "lebesgue_constant": (None if report.lebesgue_constant is None
+                              else _json_float(report.lebesgue_constant)),
         "max_residual": None if report.max_residual is None else _json_float(report.max_residual),
     })
     return 0

@@ -30,6 +30,9 @@ class RepresentationKind(Enum):
     LAPLACIAN = "L"
     NORMALIZED_LAPLACIAN = "Lrw"
 
+    # Members are singletons compared by identity; Enum's own hash runs in Python.
+    __hash__ = object.__hash__
+
 
 class UndefinedRepresentationError(ValueError):
     """Normalised Laplacian requested for a graph with an isolated vertex."""

@@ -346,6 +346,7 @@ class TestImportCost:
             ["gaps", KARATE],
             ["weyl", KARATE],
             ["polymap", KARATE, "--pair", "A_L"],
+            ["polymap", KARATE, "--pair", "A_Lrw"],
             ["plotdata", KARATE, "--figure", "eigs", "--pair", "A_Lrw"],
             ["cluster", KARATE, "--kind", "A", "--k", "2", "--truth", str(karate_factions_path())],
         ]
@@ -431,18 +432,24 @@ class TestCrossoverPolymapWeyl:
         assert parsed["unstable"] is False
 
     def test_polymap_overflow_is_strict_json(self, capsys, tmp_path):
-        """On the 1000-vertex path the fitted polynomial overflows where it is
-        evaluated: exit 0, no numpy warning, the residual named in a string."""
+        """The 700-vertex path under --merge-tol 0, on which a Newton-form fit
+        overflows: exit 0, no numpy warning, strict JSON, and unstable, since
+        a zero tolerance admits no rounding, with every eigenvalue a node and
+        finite weights. The eigenvalues 2 cos(k pi / 701) are Chebyshev-like
+        nodes, so Lambda is small."""
         graph_file = tmp_path / "path.txt"
-        graph_file.write_text("nodes 1000\n" + "".join(f"{i} {i + 1}\n" for i in range(999)))
+        graph_file.write_text("nodes 700\n" + "".join(f"{i} {i + 1}\n" for i in range(699)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "polymap", str(graph_file), "--pair", "A_L")
+            code, out, err = run(capsys, "polymap", str(graph_file), "--pair", "A_L",
+                                 "--merge-tol", "0")
         assert (code, err) == (0, "")
         parsed = json.loads(out, parse_constant=_reject_constant)
-        assert parsed["unstable"] is False
-        assert parsed["max_residual"] == "Infinity"
-        assert len(parsed["coefficients"]) == 1000
+        assert parsed["unstable"] is True
+        assert parsed["max_residual"] is None
+        assert len(parsed["nodes"]) == len(parsed["weights"]) == 700
+        assert all(math.isfinite(w) for w in parsed["weights"])
+        assert 1.0 < parsed["lebesgue_constant"] < 1e3
 
     def test_non_finite_floats_are_named(self):
         assert [cli._json_float(v) for v in (1.5, -0.0, math.inf, -math.inf, math.nan)] == [
