@@ -35,6 +35,7 @@ BOUND_SLACK = 1e-9
 DEFAULT_CROSSOVER_TOL = 1e-6
 DEFAULT_MERGE_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+_EVAL_BLOCK = 1 << 15  # values of the t - node table barycentric_eval holds at once
 
 
 class MatrixPair(Enum):
@@ -439,23 +440,25 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return weights
 
 
-def barycentric_eval(
-    nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """The interpolant through (nodes, values) at each t of a 1-d array.
+def barycentric_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """The interpolant through (nodes, values) at t of any shape.
 
     The second barycentric formula sum_j c_j y_j / sum_j c_j, c_j = w_j/(t - x_j),
     with each row of c times its smallest |t - x_j|: the factor cancels and
     keeps every |c_j| <= |w_j|, so nothing overflows. Where t equals nodes[j]
-    the result is values[j] exactly.
+    the result is values[j] exactly. The t - node table is built _EVAL_BLOCK values at a time.
     """
-    d = np.asarray(t, dtype=float)[:, None] - nodes
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        terms = weights * (np.abs(d).min(axis=1, keepdims=True) / d)
-        result = (terms @ values) / terms.sum(axis=1)
-    rows, cols = np.nonzero(d == 0.0)
-    result[rows] = values[cols]
-    return result
+    t = np.asarray(t, dtype=float)
+    result = np.empty(t.size)
+    rows = max(1, _EVAL_BLOCK // len(nodes))
+    for lo in range(0, t.size, rows):
+        d = t.reshape(-1)[lo:lo + rows, None] - nodes
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms = weights * (np.abs(d).min(axis=1, keepdims=True) / d)
+            result[lo:lo + rows] = (terms * values).sum(axis=1) / terms.sum(axis=1)
+        hits, cols = np.nonzero(d == 0.0)
+        result[lo + hits] = values[cols]
+    return result.reshape(t.shape)
 
 
 def polynomial_spectrum_map(

@@ -519,6 +519,18 @@ def _lagrange_basis(nodes, t):
     return ratios.prod(axis=1)
 
 
+def _reference_newton_eval(nodes, coefficients, t):
+    """p(t) = sum_k c_k prod_{i<k} (t - x_i), by Horner's rule one float at a time."""
+    t = np.asarray(t, dtype=float)
+    out = []
+    for ti in t.reshape(-1).tolist():
+        acc = float(coefficients[-1])
+        for xk, ck in zip(nodes[-2::-1].tolist(), coefficients[-2::-1].tolist()):
+            acc = acc * (ti - xk) + ck
+        out.append(acc)
+    return np.array(out).reshape(t.shape)
+
+
 def _reference_polymap(src, dst, merge_tol):
     """The map as the textbook loops compute it: merge loop, weights as products
     of signs and fsums of logs, Lagrange basis products at the midpoints for
@@ -649,6 +661,10 @@ def spectrum_pairs(draw):
     return x[order], y[order], merge_tol
 
 
+# A residual over at most WIDTH source values fits one block of WIDTH**2 table values.
+WIDTH = 20
+
+
 class TestPolymapMatchesReference:
     """The merged nodes match the textbook merge loop bit for bit, and the
     weights, Lambda estimate, stability rule and residual match the textbook
@@ -672,12 +688,50 @@ class TestPolymapMatchesReference:
     def test_every_field_against_the_reference(self, case):
         _assert_polymap_matches_reference(*case)
 
+    @pytest.mark.parametrize("n", [WIDTH, WIDTH + 1, WIDTH + 2, 3 * WIDTH])
+    def test_widths_around_the_switch(self, n):
+        """With blocks of WIDTH**2 table values the residual takes one block up
+        to WIDTH source values and several above. Jittered Chebyshev nodes keep
+        Lambda small, so the map is stable and its residual is evaluated: it
+        matches the reference, and the one-block residual bit for bit."""
+        rng = np.random.default_rng(n)
+        x = 2.0 * np.cos(np.pi * (np.arange(n) + rng.uniform(0.3, 0.7, n)) / n)
+        y = rng.uniform(0, 4, n)
+        with mock.patch.object(bounds, "_EVAL_BLOCK", WIDTH * WIDTH):
+            _assert_polymap_matches_reference(x, y, DEFAULT_MERGE_TOL)
+            blocked = polynomial_spectrum_map(_spec(x), _spec(y))
+        assert not blocked.unstable
+        assert blocked.max_residual == polynomial_spectrum_map(_spec(x), _spec(y)).max_residual
+
     def test_spectra_of_named_graphs(self, karate, star18, bipartite_b, graph_c18):
         for g in (karate, star18, bipartite_b, graph_c18, path3(), gen_complete(5)):
             for source, target in bounds.PAIR_KINDS.values():
                 for merge_tol in (0.0, DEFAULT_MERGE_TOL, 1e-6):
                     _assert_polymap_matches_reference(spectrum(g, source).values,
                                                       spectrum(g, target).values, merge_tol)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 5), (2, 3, 4)])
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    @pytest.mark.parametrize("block", [bounds._EVAL_BLOCK, 1, 7])
+    def test_newton_eval_on_any_shape(self, shape, m, block):
+        """barycentric_eval against Horner's rule on the Newton form of the same
+        polynomial, at t of any shape, in one block of rows or several. The
+        shape is kept, every blocking gives the same bits, a node gives its
+        value exactly, and elsewhere the two forms agree within the forward
+        error (3m + 4) eps Lambda max|y| of the barycentric formula, doubled."""
+        rng = np.random.default_rng(m)
+        nodes, coefficients = np.sort(rng.uniform(-2, 2, m)), rng.uniform(-1, 1, m)
+        values = _reference_newton_eval(nodes, coefficients, nodes)
+        at_node, which = rng.random(shape) < 0.25, rng.integers(m, size=shape)
+        t = np.where(at_node, nodes[which], rng.uniform(nodes[0], nodes[-1], shape))
+        report = polynomial_spectrum_map(_spec(nodes), _spec(values), merge_tol=0.0)
+        with mock.patch.object(bounds, "_EVAL_BLOCK", block):
+            got = barycentric_eval(nodes, report.weights, values, t)
+        assert got.shape == np.shape(t)
+        assert got.tobytes() == barycentric_eval(nodes, report.weights, values, t).tobytes()
+        assert np.array_equal(got[at_node], values[which][at_node])
+        error = np.abs(got - _reference_newton_eval(nodes, coefficients, t)).max(initial=0.0)
+        assert error <= 2 * (3 * m + 4) * EPS * report.lebesgue_constant * np.abs(values).max()
 
 
 class TestPolymapOverflow:
