@@ -48,8 +48,7 @@ from .graphs import (
     gen_complete,
     gen_graph_c,
     gen_star,
-    load_edge_list,
-    load_pajek,
+    load_graph,
 )
 from .spectra import (
     EigensolverError,
@@ -57,13 +56,6 @@ from .spectra import (
     normalized_eigengaps,
     spectrum,
 )
-
-def _load_graph(path: str, input_format: str) -> Graph:
-    text = Path(path).read_text()
-    if input_format == "pajek" or (input_format == "auto" and path.endswith(".net")):
-        return load_pajek(text)
-    return load_edge_list(text)
-
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
@@ -121,7 +113,7 @@ def _csv_float(x: float) -> str:
 
 
 def _cmd_info(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     ds = degree_summary(g)
     out = {
         "n": g.n,
@@ -166,7 +158,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     spec = spectrum(g, RepresentationKind(args.kind))
     if args.format == "json":
         payload = {
@@ -199,7 +191,7 @@ def _pair_summary(pair: MatrixPair, g: Graph) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     ds = degree_summary(g)
     bounds = eigenvalue_bound_set(ds)
     pairs = _per_pair(_pair_summary, g, lrw_defined=bounds.e_llrw is not None)
@@ -233,7 +225,7 @@ def _gap_summary(pair: MatrixPair, g: Graph) -> dict:
 
 
 def _cmd_gaps(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     ds = degree_summary(g)
     gaps = gap_bound_set(ds)
     pairs = _per_pair(_gap_summary, g, lrw_defined=gaps.g_llrw is not None)
@@ -287,7 +279,7 @@ def _cmd_table(args) -> int:
 def _cmd_region(args) -> int:
     extremes = (args.dmin, args.dmax)
     if args.file is not None and extremes == (None, None):
-        ds = degree_summary(_load_graph(args.file, args.input_format))
+        ds = degree_summary(load_graph(Path(args.file).read_text()))
     elif args.file is None and None not in extremes:
         if not 0 <= args.dmin <= args.dmax <= sys.float_info.max:
             raise ValueError("region needs 0 <= --dmin <= --dmax, both finite as floats")
@@ -306,7 +298,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     result = cluster(g, RepresentationKind(args.kind), args.k, restarts=args.restarts,
                      seed=args.seed)
     out = {
@@ -332,7 +324,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     diffs = pair_differences(MatrixPair(args.pair), g)
     report = detect_maximal_crossover(diffs.deltas, diffs.bound, tol=args.tol)
     _print_json({
@@ -345,7 +337,7 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_polymap(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     src, dst = (spectrum(g, kind) for kind in PAIR_KINDS[MatrixPair(args.pair)])
     report = polynomial_spectrum_map(src, dst, merge_tol=args.merge_tol)
     _print_json({
@@ -364,7 +356,7 @@ def _cmd_polymap(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     report = weyl_check(g)
     _print_json({
         "ok": report.ok,
@@ -394,7 +386,7 @@ def _plotdata_csv(name: str, pair: MatrixPair, figure: str, raw: np.ndarray,
 
 
 def _cmd_plotdata(args) -> int:
-    g = _load_graph(args.file, args.input_format)
+    g = load_graph(Path(args.file).read_text())
     pair = MatrixPair(args.pair)
     if args.figure == "eigs":
         d = pair_differences(pair, g)
@@ -441,8 +433,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("file", help="graph file (edge list, or Pajek for .net)")
-    sub.add_argument("--input-format", choices=("auto", "pajek", "edgelist"), default="auto")
+    sub.add_argument("file", help="graph file: Pajek if it starts with '*', else an edge list")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("region", help="bound-ordering region of the degree extremes")
     sub.add_argument("file", nargs="?", default=None)
-    sub.add_argument("--input-format", choices=("auto", "pajek", "edgelist"), default="auto")
     sub.add_argument("--dmin", type=int, default=None)
     sub.add_argument("--dmax", type=int, default=None)
     sub.set_defaults(func=_cmd_region)

@@ -11,22 +11,17 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-# Degrees are floating-point sums; degrees within this of each other are
-# treated as equal.
-DEGREE_TOL = 1e-12
 # Relative distance from an integer within which a degree extreme, a float
 # sum of weights, counts as that integer.
 CLASS_RTOL = 1e-9
 
-TextSource = Union[str, IO[str]]
-
 
 class GraphFormatError(ValueError):
-    """An input stream violates the edge-list or Pajek format."""
+    """A graph file violates the edge-list or Pajek format."""
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -190,11 +185,11 @@ def _graph_from_edges(
                             rescaled=rescaled)
 
 
-def _check_vertex_count(n: int, lineno: int) -> None:
-    """Reject a declared n whose dense n x n float64 matrix exceeds physical memory.
+def _check_vertex_count(n: int, lineno: Optional[int] = None) -> None:
+    """Reject an n whose dense n x n float64 matrix exceeds physical memory.
 
-    Spectra need that matrix, so such a file can never be analysed; saying
-    so at the header beats an allocation failure (or the OOM killer) later.
+    Spectra need that matrix, so such a graph can never be analysed; saying
+    so up front beats an allocation failure (or the OOM killer) later.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -202,15 +197,11 @@ def _check_vertex_count(n: int, lineno: int) -> None:
         return
     need = 8 * n * n
     if need > memory:
-        raise GraphFormatError(
-            f"line {lineno}: {n} vertices need a {need / 2**30:,.1f} GiB dense matrix, "
-            f"more than the {memory / 2**30:,.1f} GiB of physical memory"
-        )
-
-
-def _lines(source: TextSource) -> list[str]:
-    text = source if isinstance(source, str) else source.read()
-    return text.splitlines()
+        message = (f"{n} vertices need a {need / 2**30:,.1f} GiB dense matrix, "
+                   f"more than the {memory / 2**30:,.1f} GiB of physical memory")
+        if lineno is None:
+            raise ValueError(message)
+        raise GraphFormatError(f"line {lineno}: {message}")
 
 
 def _parse_endpoint(token: str, n: int, base: int, lineno: int) -> int:
@@ -236,8 +227,8 @@ def _parse_weight(token: Optional[str], lineno: int) -> float:
     return weight
 
 
-def load_edge_list(source: TextSource) -> Graph:
-    """Parse the plain edge-list format.
+def load_edge_list(text: str) -> Graph:
+    """Parse ``text``, a whole file in the plain edge-list format.
 
     Format: '#' starts a comment, a header line ``nodes N [base {0|1}]``
     declares the vertex count and id base (default 0), then one edge per
@@ -250,7 +241,7 @@ def load_edge_list(source: TextSource) -> Graph:
     n: Optional[int] = None
     base = 0
     edges: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -284,8 +275,8 @@ def load_edge_list(source: TextSource) -> Graph:
     return _graph_from_edges(n, edges, index_base=base)
 
 
-def load_pajek(source: TextSource) -> Graph:
-    """Parse the Pajek subset used by .net network files.
+def load_pajek(text: str) -> Graph:
+    """Parse ``text``, a whole file in the Pajek subset of .net network files.
 
     Supports ``*Vertices N`` followed by ``*Edges`` and/or ``*Arcs``
     sections with 1-based, whitespace-separated ``u v [w]`` lines.
@@ -298,7 +289,7 @@ def load_pajek(source: TextSource) -> Graph:
     section = ""
     edges: dict[tuple[int, int], float] = {}
     arcs: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -352,6 +343,18 @@ def load_pajek(source: TextSource) -> Graph:
             raise GraphFormatError(f"conflicting weights for edge {u + 1} {v + 1}")
         edges[key] = weight
     return _graph_from_edges(n, edges, index_base=1)
+
+
+def load_graph(text: str) -> Graph:
+    """Parse a graph file: Pajek if its first line starts with '*', else an edge list.
+
+    Blank lines and lines that start with '%' or '#' are skipped. A valid
+    Pajek file opens with ``*Vertices`` and a valid edge list with
+    ``nodes``, so no valid file goes to the wrong parser.
+    """
+    lines = (line.strip() for line in text.splitlines())
+    first = next((line for line in lines if line[:1] not in ("", "%", "#")), "")
+    return load_pajek(text) if first.startswith("*") else load_edge_list(text)
 
 
 def degree_summary(g: Graph) -> DegreeSummary:
@@ -416,6 +419,7 @@ def gen_star(n: int) -> Graph:
     """Star on n vertices: vertex 0 is the hub, degrees {n-1, 1 x (n-1)}."""
     if n < 2:
         raise ValueError("star graph needs at least 2 vertices")
+    _check_vertex_count(n)
     return _unweighted(n, [(0, v) for v in range(1, n)])
 
 
@@ -423,6 +427,7 @@ def gen_complete(k: int) -> Graph:
     """Complete graph on k vertices; (k-1)-regular."""
     if k < 1:
         raise ValueError("complete graph needs at least 1 vertex")
+    _check_vertex_count(k)
     return _unweighted(k, _complete_edges(k))
 
 
@@ -435,6 +440,7 @@ def gen_graph_c(k: int) -> Graph:
     """
     if k < 2:
         raise ValueError("complete component needs at least 2 vertices")
+    _check_vertex_count(k + 18)
     pairs = np.arange(k, k + 18).reshape(9, 2)
     return _unweighted(k + 18, np.concatenate([_complete_edges(k), pairs]))
 
@@ -450,9 +456,9 @@ def gen_bipartite_b() -> Graph:
 
 
 def is_d_regular(g: Graph) -> Optional[float]:
-    """The common degree d when all degrees agree within DEGREE_TOL, else None."""
+    """The common degree d when d_max - d_min is within the degrees' rounding, n*eps*d_max."""
     ds = degree_summary(g)
-    if g.n and ds.d_max - ds.d_min <= DEGREE_TOL:
+    if g.n and ds.d_max - ds.d_min <= g.n * np.finfo(float).eps * ds.d_max:
         return ds.d_min
     return None
 

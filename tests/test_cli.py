@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -91,6 +92,60 @@ class TestGen:
         code, _, err = run(capsys, "gen", "star")
         assert code == 1
         assert "size" in err
+
+    @pytest.mark.parametrize("kind", ["star", "complete", "graphc"])
+    def test_oversized_graph_is_one_error_line_at_once(self, capsys, kind):
+        """The loaders' size rule, applied before a single edge is built."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", kind, "99999999999999999999")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "vertices need a " in err
+        assert len(err.splitlines()) == 1
+
+
+class TestFileFormat:
+    """The first line, not the file name, says whether a file is Pajek or an edge list."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("sources")
+        texts = {
+            "c18": cli._write_edge_list(graphspectra.gen_graph_c(18)),
+            "c4w": "nodes 4\n0 1 0.5\n1 2 1\n2 3 0.25\n3 0 0.75\n",
+            "isolated": "nodes 3\n0 1\n",
+        }
+        for name, text in texts.items():
+            (tmp / f"{name}.txt").write_text(text)
+        return {"karate": Path(KARATE), **{name: tmp / f"{name}.txt" for name in texts}}
+
+    @pytest.mark.parametrize("name, suffixes", [
+        ("karate", [".net", ".paj", ".txt"]),
+        ("c18", [".txt", ".net"]),
+        ("c4w", [".txt", ".net"]),
+        ("isolated", [".txt", ".net"]),
+    ])
+    @pytest.mark.parametrize("command", ["info", "bounds"])
+    def test_every_name_gives_the_same_output(self, capsys, tmp_path, sources, name, suffixes,
+                                              command):
+        code, expected, _ = run(capsys, command, str(sources[name]))
+        assert code == 0
+        for suffix in suffixes:
+            copy = tmp_path / f"{name}{suffix}"
+            copy.write_text(sources[name].read_text())
+            assert run(capsys, command, str(copy)) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["info", KARATE], ["spectra", KARATE, "--kind", "A"], ["bounds", KARATE],
+        ["gaps", KARATE], ["region", KARATE], ["cluster", KARATE, "--kind", "A", "--k", "2"],
+        ["crossover", KARATE, "--pair", "A_L"], ["polymap", KARATE, "--pair", "A_L"],
+        ["weyl", KARATE], ["plotdata", KARATE, "--figure", "eigs", "--pair", "A_L"],
+    ], ids=lambda argv: argv[0])
+    def test_input_format_option_is_gone(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--input-format", "pajek")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert err.endswith("error: unrecognized arguments: --input-format pajek\n")
 
 
 class TestSpectra:

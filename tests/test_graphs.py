@@ -5,6 +5,8 @@ complete: regular, karate: d_min 1 / d_max 17) and component counts of
 block-diagonal unions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,11 @@ from graphspectra import (
     gen_star,
     is_d_regular,
     load_edge_list,
+    load_graph,
     load_pajek,
 )
 from graphspectra.cli import _write_edge_list
+from graphspectra.data import karate_net_path
 from graphspectra.graphs import ClassTag, DegreeSummary
 
 
@@ -176,6 +180,40 @@ class TestLoadPajek:
         g = load_pajek("*Vertices 2\n*Edges\n1 2 5.0\n")
         assert g.rescaled
         assert g.weights[0, 1] == 1.0
+
+
+PAJEK_WITH_COMMENT = '% made by hand\n\n*Vertices 4\n1 "a"\n*Arcs\n1 2 2.0\n2 3\n*Edges\n3 4 0.5\n'
+EDGE_LIST_WITH_COMMENT = "# made by hand\n  # indented\n\nnodes 5 base 1\n1 2\n2 3 3.0\n4 5\n"
+
+
+class TestLoadGraph:
+    """The first line that is not blank or a '%'/'#' comment picks the parser."""
+
+    @pytest.mark.parametrize("text, load", [
+        (karate_net_path().read_text(), load_pajek),
+        (PAJEK_WITH_COMMENT, load_pajek),
+        (EDGE_LIST_WITH_COMMENT, load_edge_list),
+        (_write_edge_list(gen_graph_c(18)), load_edge_list),
+        ("nodes 4\n0 1 0.5\n1 2 1\n2 3 0.25\n3 0 0.75\n", load_edge_list),
+        ("nodes 3\n0 1\n", load_edge_list),
+    ])
+    def test_same_graph_as_the_matching_loader(self, text, load):
+        g, expected = load_graph(text), load(text)
+        assert (g.n, g.index_base, g.rescaled) == (expected.n, expected.index_base, expected.rescaled)
+        for name in ("edges", "edge_weights", "degrees"):
+            assert np.array_equal(getattr(g, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing 'nodes N' header"),
+        ("% only a comment\n", "line 1: expected 'nodes N' header"),
+        ("*Edges\n1 2\n", "line 1: missing *Vertices header"),
+        ("# a comment\n*Vertices 2\n", "line 1: data before any *Edges/*Arcs section"),
+        ("nodes 3\n0 0\n", "line 2: self-loop on vertex 0"),
+    ])
+    def test_invalid_file_gets_the_error_of_the_parser_its_first_line_names(self, text, message):
+        with pytest.raises(GraphFormatError) as excinfo:
+            load_graph(text)
+        assert str(excinfo.value) == message
 
 
 class TestDegreeSummary:
@@ -329,6 +367,19 @@ class TestRegularityAndClass:
 
     def test_p3_not_regular(self):
         assert is_d_regular(path3()) is None
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-6, 0.5])
+    def test_regularity_is_relative_to_the_degrees(self, scale):
+        """An absolute tolerance of 1e-12 would call a path weighted 1e-13 regular;
+        circulants whose degrees differ only by rounding are regular at any scale."""
+        assert is_d_regular(Graph.from_edges(3, [(0, 1), (1, 2)], [1e-13 * scale] * 2)) is None
+        rng = np.random.default_rng(2017)
+        for n in (12, 60, 200):
+            offsets, weights = range(1, 6), rng.uniform(0.1, 1.0, size=5) * scale
+            edges = [sorted((v, (v + s) % n)) for s in offsets for v in range(n)]
+            g = Graph.from_edges(n, edges, np.repeat(weights, n))
+            assert degree_summary(g).d_min < degree_summary(g).d_max  # rounding differs
+            assert is_d_regular(g) == degree_summary(g).d_min
 
     def test_class_tag_of_graph_c(self):
         for k in range(3, 19):
@@ -499,3 +550,17 @@ class TestSizeGuard:
 
     def test_desk_scale_header_accepted(self):
         assert load_edge_list("nodes 3000\n").n == 3000
+
+    @pytest.mark.parametrize("gen, extra", [(gen_star, 0), (gen_complete, 0), (gen_graph_c, 18)])
+    @pytest.mark.parametrize("size", [10**8, 10**20])
+    def test_oversized_generator_rejected_before_building(self, gen, extra, size):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                gen(size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value).startswith(f"{size + extra} vertices need a ")
+        assert peak < 2**16, f"peak {peak} bytes"
