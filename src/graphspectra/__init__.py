@@ -7,122 +7,85 @@ differences driven by the degree extremes, and demonstrates the impact
 of the representation choice via spectral clustering.
 """
 
-from .bounds import (
-    BoundSet,
-    CrossoverReport,
-    GapBoundSet,
-    GapDifferences,
-    MatrixPair,
-    PairDifferences,
-    PolyMapReport,
-    Region,
-    WeylReport,
-    apply_transform,
-    classify_region,
-    detect_maximal_crossover,
-    eigenvalue_bound_set,
-    gap_bound_set,
-    gap_differences,
-    mapped_support,
-    pair_differences,
-    polynomial_spectrum_map,
-    weyl_check,
-)
-from .clustering import (
-    ClusterComparison,
-    ClusteringResult,
-    KMeansError,
-    cluster,
-    compare_clusterings,
-    kmeans,
-    spectral_embed,
-)
-from .graphs import (
-    ClassTag,
-    ComponentLabeling,
-    DegreeSummary,
-    Graph,
-    GraphFormatError,
-    class_tag,
-    connected_components,
-    degree_summary,
-    disjoint_union,
-    gen_bipartite_b,
-    gen_complete,
-    gen_graph_c,
-    gen_star,
-    is_d_regular,
-    load_edge_list,
-    load_graph,
-    load_pajek,
-)
-from .spectra import (
-    EigensolverError,
-    RepresentationKind,
-    Spectrum,
-    UndefinedRepresentationError,
-    build_matrix,
-    eig_sym,
-    eigensystem,
-    normalized_eigengaps,
-    spectral_support,
-    spectrum,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundSet",
-    "ClassTag",
-    "ClusterComparison",
-    "ClusteringResult",
-    "ComponentLabeling",
-    "CrossoverReport",
-    "DegreeSummary",
-    "EigensolverError",
-    "GapBoundSet",
-    "GapDifferences",
-    "Graph",
-    "GraphFormatError",
-    "KMeansError",
-    "MatrixPair",
-    "PairDifferences",
-    "PolyMapReport",
-    "Region",
-    "RepresentationKind",
-    "Spectrum",
-    "UndefinedRepresentationError",
-    "WeylReport",
-    "apply_transform",
-    "build_matrix",
-    "class_tag",
-    "classify_region",
-    "cluster",
-    "compare_clusterings",
-    "connected_components",
-    "degree_summary",
-    "detect_maximal_crossover",
-    "disjoint_union",
-    "eig_sym",
-    "eigensystem",
-    "eigenvalue_bound_set",
-    "gap_bound_set",
-    "gap_differences",
-    "gen_bipartite_b",
-    "gen_complete",
-    "gen_graph_c",
-    "gen_star",
-    "is_d_regular",
-    "kmeans",
-    "load_edge_list",
-    "load_graph",
-    "load_pajek",
-    "mapped_support",
-    "normalized_eigengaps",
-    "pair_differences",
-    "polynomial_spectrum_map",
-    "spectral_embed",
-    "spectral_support",
-    "spectrum",
-    "weyl_check",
-]
+# Each layer module and the names the package exports from it. They are
+# imported on first use (PEP 562), so `import graphspectra` costs no numpy
+# and the degree-only commands of the command line never load it.
+_EXPORTS = {
+    "bounds": (
+        "BoundSet",
+        "CrossoverReport",
+        "GapBoundSet",
+        "GapDifferences",
+        "MatrixPair",
+        "PairDifferences",
+        "PolyMapReport",
+        "WeylReport",
+        "apply_transform",
+        "detect_maximal_crossover",
+        "eigenvalue_bound_set",
+        "gap_bound_set",
+        "gap_differences",
+        "mapped_support",
+        "pair_differences",
+        "polynomial_spectrum_map",
+        "weyl_check",
+    ),
+    "clustering": (
+        "ClusterComparison",
+        "ClusteringResult",
+        "KMeansError",
+        "cluster",
+        "compare_clusterings",
+        "kmeans",
+        "spectral_embed",
+    ),
+    "graphs": (
+        "ClassTag",
+        "ComponentLabeling",
+        "DegreeSummary",
+        "Graph",
+        "GraphFormatError",
+        "Region",
+        "class_tag",
+        "classify_region",
+        "connected_components",
+        "degree_summary",
+        "disjoint_union",
+        "gen_bipartite_b",
+        "gen_complete",
+        "gen_graph_c",
+        "gen_star",
+        "is_d_regular",
+        "load_edge_list",
+        "load_graph",
+        "load_pajek",
+    ),
+    "spectra": (
+        "EigensolverError",
+        "RepresentationKind",
+        "Spectrum",
+        "UndefinedRepresentationError",
+        "build_matrix",
+        "eig_sym",
+        "eigensystem",
+        "normalized_eigengaps",
+        "spectral_support",
+        "spectrum",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    """Import every layer module and bind all exported names on first access to any."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _EXPORTS.items():
+        layer = import_module(f".{module}", __name__)
+        globals().update((n, getattr(layer, n)) for n in names)
+    return globals()[name]

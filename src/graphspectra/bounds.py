@@ -17,73 +17,31 @@ each matrix's spectral support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .graphs import DegreeSummary, Graph, class_tag, degree_summary
-from .spectra import (
+from .graphs import DegreeSummary, Graph, degree_summary
+from .graphs import Region, classify_region  # noqa: F401 (re-exported)
+from .spectra import Spectrum, normalized_eigengaps, spectrum
+from .vocabulary import (
+    DEFAULT_CROSSOVER_TOL,
+    DEFAULT_MERGE_TOL,
+    PAIR_KINDS,
+    MatrixPair,
     RepresentationKind,
-    Spectrum,
-    normalized_eigengaps,
-    spectrum,
 )
 
 # Slack allowed when checking computed differences against a closed-form bound.
 BOUND_SLACK = 1e-9
-DEFAULT_CROSSOVER_TOL = 1e-6
-DEFAULT_MERGE_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _EVAL_BLOCK = 1 << 15  # values of the t - node table barycentric_eval holds at once
-
-
-class MatrixPair(Enum):
-    A_L = "A_L"
-    L_LRW = "L_Lrw"
-    A_LRW = "A_Lrw"
-
-    __hash__ = object.__hash__  # as RepresentationKind: identity, not Enum's Python-level hash
-
-
-# Each pair's source kind and target kind.
-PAIR_KINDS = {
-    MatrixPair.A_L: (RepresentationKind.ADJACENCY, RepresentationKind.LAPLACIAN),
-    MatrixPair.L_LRW: (RepresentationKind.LAPLACIAN, RepresentationKind.NORMALIZED_LAPLACIAN),
-    MatrixPair.A_LRW: (RepresentationKind.ADJACENCY, RepresentationKind.NORMALIZED_LAPLACIAN),
-}
 
 # The BoundSet field and the GapBoundSet fields (gap, primed gap) that bound each pair.
 _BOUND_FIELDS = {
     MatrixPair.A_L: ("e_al", "g_al", None),
     MatrixPair.L_LRW: ("e_llrw", "g_llrw", "g_prime_llrw"),
     MatrixPair.A_LRW: ("e_alrw", "g_alrw", "g_prime_alrw"),
-}
-
-
-class Region(Enum):
-    """The six bound-ordering regions of the degree-extreme plane."""
-
-    REGULAR = "regular"
-    BOLD = "bold"
-    UNDERLINED = "underlined"
-    TELETYPE = "teletype"
-    ITALIC = "italic"
-    NORMAL = "normal"
-
-    @property
-    def ordering(self) -> str:
-        """How the region orders e(A,L), e(L,Lrw) and e(A,Lrw)."""
-        return _ORDERINGS[self]
-
-
-_ORDERINGS = {
-    Region.REGULAR: "e(A,L) = e(L,Lrw) = e(A,Lrw) = 0",
-    Region.BOLD: "e(A,L) < e(L,Lrw) < e(A,Lrw)",
-    Region.UNDERLINED: "e(A,L) = e(L,Lrw) < e(A,Lrw)",
-    Region.TELETYPE: "e(L,Lrw) < e(A,L) < e(A,Lrw)",
-    Region.ITALIC: "e(L,Lrw) < e(A,L) = e(A,Lrw)",
-    Region.NORMAL: "e(L,Lrw) < e(A,Lrw) < e(A,L)",
 }
 
 
@@ -277,30 +235,6 @@ def _gap_bounds(ds: DegreeSummary) -> GapBoundSet:
         g_alrw=2.5 * diff / ds.d_max,
         g_prime_alrw=bounds.e_prime_alrw,
     )
-
-
-def classify_region(ds: DegreeSummary) -> Region:
-    """Which of the six bound-ordering regions the degree extremes fall in.
-
-    Regular graphs (d_min = d_max) take precedence; otherwise the region
-    is decided by d_min + d_max against the thresholds 4, 5 and 6. There
-    is no region for d_min = 0, where the Lrw bounds are undefined.
-    """
-    tag = class_tag(ds)
-    if tag.j == 0:
-        raise ValueError("no bound ordering for d_min = 0: e(L,Lrw) and e(A,Lrw) are undefined")
-    if tag.j == tag.k:
-        return Region.REGULAR
-    total = tag.j + tag.k
-    if total < 4:
-        return Region.BOLD
-    if total == 4:
-        return Region.UNDERLINED
-    if total == 5:
-        return Region.TELETYPE
-    if total == 6:
-        return Region.ITALIC
-    return Region.NORMAL
 
 
 def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:

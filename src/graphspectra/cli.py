@@ -18,30 +18,13 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .bounds import (
-    DEFAULT_CROSSOVER_TOL,
-    DEFAULT_MERGE_TOL,
-    PAIR_KINDS,
-    MatrixPair,
-    classify_region,
-    detect_maximal_crossover,
-    eigenvalue_bound_set,
-    gap_bound_set,
-    gap_differences,
-    pair_differences,
-    polynomial_spectrum_map,
-    weyl_check,
-)
-from .clustering import DEFAULT_RESTARTS, DEFAULT_SEED, KMeansError, cluster, compare_clusterings
-from .data import load_truth_labels
 from .graphs import (
     DegreeSummary,
     Graph,
     class_tag,
+    classify_region,
     connected_components,
     degree_summary,
     gen_bipartite_b,
@@ -50,12 +33,24 @@ from .graphs import (
     gen_star,
     load_graph,
 )
-from .spectra import (
+from .vocabulary import (
+    DEFAULT_CROSSOVER_TOL,
+    DEFAULT_MERGE_TOL,
+    DEFAULT_RESTARTS,
+    DEFAULT_SEED,
+    PAIR_KINDS,
     EigensolverError,
+    KMeansError,
+    MatrixPair,
     RepresentationKind,
-    normalized_eigengaps,
-    spectrum,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Handlers import the numerical layers (and so numpy) when they run:
+# info and region need only the degrees, and load neither.
+
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
@@ -65,6 +60,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _jsonable(obj):
+    import numpy as np  # only arrays and numpy scalars get here
+
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -94,6 +91,8 @@ def _round2(x, strip: bool) -> str:
 
 def _render(d_min, d_max, strip: bool) -> str:
     """The triple (e(A,L), e(L,Lrw), e(A,Lrw)), computed exactly and rounded half-up."""
+    from .bounds import eigenvalue_bound_set
+
     b = eigenvalue_bound_set(DegreeSummary(Fraction(d_min), Fraction(d_max)))
     return "(" + ", ".join(_round2(e, strip) for e in (b.e_al, b.e_llrw, b.e_alrw)) + ")"
 
@@ -158,6 +157,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    from .spectra import spectrum
+
     g = load_graph(Path(args.file).read_text())
     spec = spectrum(g, RepresentationKind(args.kind))
     if args.format == "json":
@@ -182,6 +183,10 @@ def _per_pair(summary, g: Graph, lrw_defined: bool) -> dict:
 
 
 def _pair_summary(pair: MatrixPair, g: Graph) -> dict:
+    import numpy as np
+
+    from .bounds import pair_differences
+
     diffs = pair_differences(pair, g)
     return {
         "bound": diffs.bound,
@@ -191,6 +196,8 @@ def _pair_summary(pair: MatrixPair, g: Graph) -> dict:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import eigenvalue_bound_set
+
     g = load_graph(Path(args.file).read_text())
     ds = degree_summary(g)
     bounds = eigenvalue_bound_set(ds)
@@ -211,6 +218,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _gap_summary(pair: MatrixPair, g: Graph) -> dict:
+    from .bounds import gap_differences
+
     gd = gap_differences(pair, g)
     out = {
         "bound": gd.bound,
@@ -225,6 +234,8 @@ def _gap_summary(pair: MatrixPair, g: Graph) -> dict:
 
 
 def _cmd_gaps(args) -> int:
+    from .bounds import gap_bound_set
+
     g = load_graph(Path(args.file).read_text())
     ds = degree_summary(g)
     gaps = gap_bound_set(ds)
@@ -250,6 +261,8 @@ def _cmd_table(args) -> int:
     dmins = range(0, args.dmin_max + 1)
     dmaxs = range(1, args.dmax_max + 1)
     if args.json:
+        from .bounds import eigenvalue_bound_set
+
         cells = []
         for k in dmaxs:
             for j in dmins:
@@ -298,6 +311,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    from .clustering import cluster, compare_clusterings
+    from .data import load_truth_labels
+
     g = load_graph(Path(args.file).read_text())
     result = cluster(g, RepresentationKind(args.kind), args.k, restarts=args.restarts,
                      seed=args.seed)
@@ -324,6 +340,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    from .bounds import detect_maximal_crossover, pair_differences
+
     g = load_graph(Path(args.file).read_text())
     diffs = pair_differences(MatrixPair(args.pair), g)
     report = detect_maximal_crossover(diffs.deltas, diffs.bound, tol=args.tol)
@@ -337,6 +355,9 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_polymap(args) -> int:
+    from .bounds import polynomial_spectrum_map
+    from .spectra import spectrum
+
     g = load_graph(Path(args.file).read_text())
     src, dst = (spectrum(g, kind) for kind in PAIR_KINDS[MatrixPair(args.pair)])
     report = polynomial_spectrum_map(src, dst, merge_tol=args.merge_tol)
@@ -356,6 +377,8 @@ def _cmd_polymap(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
+    from .bounds import weyl_check
+
     g = load_graph(Path(args.file).read_text())
     report = weyl_check(g)
     _print_json({
@@ -386,6 +409,8 @@ def _plotdata_csv(name: str, pair: MatrixPair, figure: str, raw: np.ndarray,
 
 
 def _cmd_plotdata(args) -> int:
+    from .bounds import eigenvalue_bound_set, gap_differences, pair_differences
+
     g = load_graph(Path(args.file).read_text())
     pair = MatrixPair(args.pair)
     if args.figure == "eigs":
@@ -411,6 +436,10 @@ def _parse_range(spec: str) -> range:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
+    from .spectra import normalized_eigengaps, spectrum
+
     ks = _parse_range(args.graphc)
     lines = ["k,kind,gap_index,value,note"]
     for k in ks:

@@ -23,19 +23,14 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .spectra import RepresentationKind, eigensystem
+from .spectra import eigensystem
+from .vocabulary import DEFAULT_RESTARTS, DEFAULT_SEED, KMeansError, RepresentationKind
 
-DEFAULT_SEED = 42
-DEFAULT_RESTARTS = 50
 MAX_LLOYD_ITERATIONS = 300
 # Bytes k-means may hold at once: the distances between points, while
 # they fit a quarter of it, and a block of restarts, as many as n, k and
 # d leave room for. The restart count never sets the block.
 KMEANS_WORKING_SET_BYTES = 2 * 1024 * 1024
-
-
-class KMeansError(RuntimeError):
-    """Lloyd's iteration increased the k-means inertia, which exact arithmetic forbids."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,17 +3,26 @@
 Vertices are always 0..n-1 internally; ``Graph.index_base`` records the
 numbering convention of the source (0- or 1-based) and is used only when
 vertex ids are reported back to the user.
+
+The loaders, the degree extremes, the components and the degree-extreme
+class and region run in plain Python, so the commands that need only
+them (``info``, ``region``) never import numpy; numpy is imported where
+an array is first built.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional
+from enum import Enum
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative distance from an integer within which a degree extreme, a float
 # sum of weights, counts as that integer.
@@ -36,17 +45,21 @@ class Graph:
     :meth:`from_edges` takes the edge arrays directly and never builds the
     n x n ``weights`` matrix, which is then assembled on first access.
 
+    The loaders build a graph from Python lists and sum its degrees in
+    Python, in the order ``np.bincount`` sums them; ``edges``,
+    ``edge_weights`` and ``degrees`` become arrays on first access.
     ``rescaled`` is set by the loaders when weights above 1 were divided
     by the maximum weight. Instances are immutable; every array is marked
     read-only, and so are the spectra memoised on the instance.
     """
 
     n: int
-    edges: np.ndarray
-    edge_weights: np.ndarray
-    degrees: np.ndarray
     index_base: int
     rescaled: bool
+    # Read-only arrays, or for a loaded graph Python lists until first access.
+    _edges: object = field(repr=False)
+    _edge_weights: object = field(repr=False)
+    _degrees: object = field(repr=False)
     _weights: Optional[np.ndarray] = field(repr=False)
     _summary: DegreeSummary = field(repr=False)
     # RepresentationKind -> Spectrum, filled by spectra.spectrum.
@@ -54,6 +67,8 @@ class Graph:
 
     def __init__(self, n: int, weights: np.ndarray, index_base: int = 0,
                  rescaled: bool = False) -> None:
+        import numpy as np
+
         w = np.array(weights, dtype=float)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -82,6 +97,8 @@ class Graph:
         in (0, 1]. Together these make the implied matrix symmetric with a
         zero diagonal.
         """
+        import numpy as np
+
         e = np.array(edges, dtype=np.intp).reshape(-1, 2)
         w = np.array(edge_weights, dtype=float).reshape(-1)
         if n < 0:
@@ -104,30 +121,79 @@ class Graph:
         g._setup(n, e, w, index_base, rescaled, None)
         return g
 
+    @classmethod
+    def _loaded(cls, n: int, pairs: list, edge_weights: list, index_base: int,
+                rescaled: bool) -> Graph:
+        """Graph from a loader's sorted pairs u < v and their weights in (0, 1]."""
+        degrees = [0.0] * n
+        for (u, v), w in zip(pairs, edge_weights):  # edge by edge, as np.bincount adds
+            degrees[u] += w
+            degrees[v] += w
+        g = cls.__new__(cls)
+        g._bind(n, pairs, edge_weights, degrees, min(degrees, default=0.0),
+                max(degrees, default=0.0), index_base, rescaled, None)
+        return g
+
     def _setup(self, n, edges, edge_weights, index_base, rescaled, weights) -> None:
-        if index_base not in (0, 1):
-            raise ValueError("index_base must be 0 or 1")
+        import numpy as np
+
         # Edge rows are in lexicographic order, so each vertex sums its
-        # weights in order of ascending neighbour id.
+        # weights in order of ascending neighbour id. bincount counts in
+        # int64 when there are no edges; degrees are always float64.
         degrees = np.bincount(edges.reshape(-1), weights=np.repeat(edge_weights, 2),
-                              minlength=n)
+                              minlength=n).astype(float, copy=False)
         for a in (edges, edge_weights, degrees, weights):
             if a is not None:
                 a.setflags(write=False)
-        if n:
-            summary = DegreeSummary(float(degrees.min()), float(degrees.max()))
-        else:
-            summary = DegreeSummary(0.0, 0.0)
-        for name, value in (("n", n), ("edges", edges), ("edge_weights", edge_weights),
-                            ("degrees", degrees), ("index_base", index_base),
+        extremes = (float(degrees.min()), float(degrees.max())) if n else (0.0, 0.0)
+        self._bind(n, edges, edge_weights, degrees, *extremes, index_base, rescaled, weights)
+
+    def _bind(self, n, edges, edge_weights, degrees, d_min, d_max, index_base, rescaled,
+              weights) -> None:
+        if index_base not in (0, 1):
+            raise ValueError("index_base must be 0 or 1")
+        for name, value in (("n", n), ("_edges", edges), ("_edge_weights", edge_weights),
+                            ("_degrees", degrees), ("index_base", index_base),
                             ("rescaled", rescaled), ("_weights", weights),
-                            ("_summary", summary), ("_spectra", {})):
+                            ("_summary", DegreeSummary(d_min, d_max)), ("_spectra", {})):
             object.__setattr__(self, name, value)
+
+    def _array(self, name: str, dtype: str, shape: tuple) -> np.ndarray:
+        """The attribute `name` as a read-only array, converted from a list once."""
+        value = getattr(self, name)
+        if isinstance(value, list):
+            import numpy as np
+
+            value = np.array(value, dtype=dtype).reshape(shape)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The m x 2 intp array of pairs u < v in lexicographic order, read-only."""
+        return self._array("_edges", "intp", (-1, 2))
+
+    @property
+    def edge_weights(self) -> np.ndarray:
+        """The m edge weights in the order of ``edges``, read-only."""
+        return self._array("_edge_weights", "float64", (-1,))
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """The n weighted degrees, read-only."""
+        return self._array("_degrees", "float64", (-1,))
+
+    def _pairs(self) -> list:
+        """The edge pairs as a list of Python pairs (u, v), in the order of ``edges``."""
+        return self._edges if isinstance(self._edges, list) else self._edges.tolist()
 
     @property
     def weights(self) -> np.ndarray:
         """The symmetric n x n weight matrix, read-only, built on first access."""
         if self._weights is None:
+            import numpy as np
+
             w = np.zeros((self.n, self.n))
             u, v = self.edges.T
             w[u, v] = w[v, u] = self.edge_weights
@@ -151,12 +217,19 @@ class DegreeSummary:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentLabeling:
     """Connected-component ids, contiguous in 0..component_count-1."""
 
-    labels: np.ndarray
     component_count: int
+    _labels: list = field(repr=False)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Vertex v's component id at index v, an int array built on first access."""
+        import numpy as np
+
+        return np.array(self._labels, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -172,17 +245,16 @@ def _graph_from_edges(
     edges: dict[tuple[int, int], float],
     index_base: int,
 ) -> Graph:
-    weights = np.fromiter(edges.values(), dtype=float, count=len(edges))
-    max_weight = float(weights.max(initial=1.0))
+    max_weight = max(edges.values(), default=1.0)
     rescaled = max_weight > 1.0
+    pairs = sorted(edges)
+    weights = [edges[pair] for pair in pairs]
     if rescaled:
-        weights = weights / max_weight
-        if not np.all(weights > 0.0):
+        weights = [w / max_weight for w in weights]
+        if not all(w > 0.0 for w in weights):
             raise GraphFormatError(
                 f"a weight underflows to 0 when divided by the maximum weight {max_weight!r}")
-    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
-    return Graph.from_edges(n, pairs.reshape(-1, 2), weights, index_base=index_base,
-                            rescaled=rescaled)
+    return Graph._loaded(n, pairs, weights, index_base, rescaled)
 
 
 def _check_vertex_count(n: int, lineno: Optional[int] = None) -> None:
@@ -222,7 +294,7 @@ def _parse_weight(token: Optional[str], lineno: int) -> float:
         weight = float(token)
     except ValueError:
         raise GraphFormatError(f"line {lineno}: non-numeric weight {token!r}") from None
-    if not weight > 0.0 or not np.isfinite(weight):
+    if not weight > 0.0 or not math.isfinite(weight):
         raise GraphFormatError(f"line {lineno}: edge weight must be positive and finite")
     return weight
 
@@ -369,15 +441,13 @@ def connected_components(g: Graph) -> ComponentLabeling:
     """Label connected components by breadth-first traversal.
 
     Components are numbered in order of their lowest vertex, so labels
-    are deterministic and contiguous in 0..c-1. The traversal runs on a
-    compressed adjacency built from the edge list, in O(n + m).
+    are deterministic and contiguous in 0..c-1. The traversal runs on
+    adjacency lists built from the edge list, in O(n + m).
     """
-    ends = g.edges.reshape(-1)  # u0 v0 u1 v1 ...
-    partners = g.edges[:, ::-1].reshape(-1)  # v0 u0 v1 u1 ...
-    offsets = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(ends, minlength=g.n), out=offsets[1:])
-    offsets = offsets.tolist()
-    neighbours = partners[np.argsort(ends, kind="stable")].tolist()
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g._pairs():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     labels = [-1] * g.n
     count = 0
     for start in range(g.n):
@@ -386,17 +456,18 @@ def connected_components(g: Graph) -> ComponentLabeling:
         labels[start] = count
         queue = deque([start])
         while queue:
-            u = queue.popleft()
-            for v in neighbours[offsets[u] : offsets[u + 1]]:
+            for v in neighbours[queue.popleft()]:
                 if labels[v] < 0:
                     labels[v] = count
                     queue.append(v)
         count += 1
-    return ComponentLabeling(labels=np.array(labels, dtype=int), component_count=count)
+    return ComponentLabeling(component_count=count, _labels=labels)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Block-diagonal union of two graphs; no cross edges."""
+    import numpy as np
+
     return Graph.from_edges(
         a.n + b.n,
         np.concatenate([a.edges, b.edges + a.n]),
@@ -408,10 +479,14 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 def _unweighted(n: int, edges) -> Graph:
     """A 1-based generated graph with unit weights on the given pairs u < v."""
+    import numpy as np
+
     return Graph.from_edges(n, edges, np.ones(len(edges)), index_base=1)
 
 
 def _complete_edges(k: int) -> np.ndarray:
+    import numpy as np
+
     return np.stack(np.triu_indices(k, 1), axis=1)
 
 
@@ -441,6 +516,8 @@ def gen_graph_c(k: int) -> Graph:
     if k < 2:
         raise ValueError("complete component needs at least 2 vertices")
     _check_vertex_count(k + 18)
+    import numpy as np
+
     pairs = np.arange(k, k + 18).reshape(9, 2)
     return _unweighted(k + 18, np.concatenate([_complete_edges(k), pairs]))
 
@@ -458,7 +535,7 @@ def gen_bipartite_b() -> Graph:
 def is_d_regular(g: Graph) -> Optional[float]:
     """The common degree d when d_max - d_min is within the degrees' rounding, n*eps*d_max."""
     ds = degree_summary(g)
-    if g.n and ds.d_max - ds.d_min <= g.n * np.finfo(float).eps * ds.d_max:
+    if g.n and ds.d_max - ds.d_min <= g.n * sys.float_info.epsilon * ds.d_max:
         return ds.d_min
     return None
 
@@ -475,3 +552,53 @@ def class_tag(ds: DegreeSummary) -> ClassTag:
     if abs(ds.d_min - j) > CLASS_RTOL * abs(j) or abs(ds.d_max - k) > CLASS_RTOL * abs(k):
         raise ValueError("degree extremes are not integers; no integer class applies")
     return ClassTag(j=j, k=k)
+
+
+class Region(Enum):
+    """The six bound-ordering regions of the degree-extreme plane."""
+
+    REGULAR = "regular"
+    BOLD = "bold"
+    UNDERLINED = "underlined"
+    TELETYPE = "teletype"
+    ITALIC = "italic"
+    NORMAL = "normal"
+
+    @property
+    def ordering(self) -> str:
+        """How the region orders e(A,L), e(L,Lrw) and e(A,Lrw)."""
+        return _ORDERINGS[self]
+
+
+_ORDERINGS = {
+    Region.REGULAR: "e(A,L) = e(L,Lrw) = e(A,Lrw) = 0",
+    Region.BOLD: "e(A,L) < e(L,Lrw) < e(A,Lrw)",
+    Region.UNDERLINED: "e(A,L) = e(L,Lrw) < e(A,Lrw)",
+    Region.TELETYPE: "e(L,Lrw) < e(A,L) < e(A,Lrw)",
+    Region.ITALIC: "e(L,Lrw) < e(A,L) = e(A,Lrw)",
+    Region.NORMAL: "e(L,Lrw) < e(A,Lrw) < e(A,L)",
+}
+
+
+def classify_region(ds: DegreeSummary) -> Region:
+    """Which of the six bound-ordering regions the degree extremes fall in.
+
+    Regular graphs (d_min = d_max) take precedence; otherwise the region
+    is decided by d_min + d_max against the thresholds 4, 5 and 6. There
+    is no region for d_min = 0, where the Lrw bounds are undefined.
+    """
+    tag = class_tag(ds)
+    if tag.j == 0:
+        raise ValueError("no bound ordering for d_min = 0: e(L,Lrw) and e(A,Lrw) are undefined")
+    if tag.j == tag.k:
+        return Region.REGULAR
+    total = tag.j + tag.k
+    if total < 4:
+        return Region.BOLD
+    if total == 4:
+        return Region.UNDERLINED
+    if total == 5:
+        return Region.TELETYPE
+    if total == 6:
+        return Region.ITALIC
+    return Region.NORMAL

@@ -14,32 +14,19 @@ every result is checked for residual and orthonormality before use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .graphs import Graph, degree_summary
+from .vocabulary import EigensolverError, RepresentationKind
 
 RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
 
 
-class RepresentationKind(Enum):
-    ADJACENCY = "A"
-    LAPLACIAN = "L"
-    NORMALIZED_LAPLACIAN = "Lrw"
-
-    # Members are singletons compared by identity; Enum's own hash runs in Python.
-    __hash__ = object.__hash__
-
-
 class UndefinedRepresentationError(ValueError):
     """Normalised Laplacian requested for a graph with an isolated vertex."""
-
-
-class EigensolverError(RuntimeError):
-    """LAPACK ``eigh`` failed or produced a decomposition that fails validation."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -383,6 +383,16 @@ class TestPublicNamespace:
         exec("from graphspectra import *", namespace)
         assert set(graphspectra.__all__) <= set(namespace)
 
+    def test_every_exported_name_is_its_defining_modules_object(self):
+        for name in graphspectra.__all__:
+            obj = getattr(graphspectra, name)
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            graphspectra.no_such_name  # noqa: B018
+        assert not hasattr(graphspectra, "numpy")
+
 
 class TestImportCost:
     def test_no_command_loads_scipy(self, tmp_path):
@@ -418,6 +428,107 @@ class TestImportCost:
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert '"misplaced": 0' in proc.stdout
+
+
+def _info(n, d_min, d_max, components, rescaled, tag=None, region=None, ordering=None):
+    return {"n": n, "d_min": d_min, "d_max": d_max, "component_count": components,
+            "rescaled": rescaled, "class": tag and {"j": tag[0], "k": tag[1]},
+            "region": region, "ordering": ordering}
+
+
+_REGULAR = ("regular", "e(A,L) = e(L,Lrw) = e(A,Lrw) = 0")
+_NOT_INTEGRAL = "error: degree extremes are not integers; no integer class applies\n"
+_NO_ORDERING = "error: no bound ordering for d_min = 0: e(L,Lrw) and e(A,Lrw) are undefined\n"
+_UNDERFLOW = "error: a weight underflows to 0 when divided by the maximum weight 1e+308\n"
+
+
+class TestPrecheckEdgeCases:
+    """info and region on the inputs at the edges of the loaders and the class rule.
+
+    Each case pins stdout, stderr and the exit status byte for byte:
+    (file text, info's JSON or error, region's JSON or error).
+    """
+
+    CASES = {
+        "nodes_0": ("nodes 0\n", _info(0, 0.0, 0.0, 0, False, (0, 0)), _NO_ORDERING),
+        "empty_file": ("", "error: missing 'nodes N' header\n",
+                       "error: missing 'nodes N' header\n"),
+        "vertices_0": ("*Vertices 0\n", _info(0, 0.0, 0.0, 0, False, (0, 0)), _NO_ORDERING),
+        "rescale_underflows": ("nodes 3\n0 1 1e308\n1 2 1e-308\n", _UNDERFLOW, _UNDERFLOW),
+        "denormal_weight": ("nodes 2\n0 1 5e-324\n",
+                            _info(2, 5e-324, 5e-324, 1, False), _NOT_INTEGRAL),
+        "rescaled_weight_2": ("nodes 2\n0 1 2\n", _info(2, 1.0, 1.0, 1, True, (1, 1), *_REGULAR),
+                              {"d_min": 1.0, "d_max": 1.0, "region": _REGULAR[0],
+                               "ordering": _REGULAR[1]}),
+        "two_components_base_1": ("nodes 4 base 1\n1 2\n3 4\n",
+                                  _info(4, 1.0, 1.0, 2, False, (1, 1), *_REGULAR),
+                                  {"d_min": 1.0, "d_max": 1.0, "region": _REGULAR[0],
+                                   "ordering": _REGULAR[1]}),
+        "arcs_rescaled_isolated": ("*Vertices 5\n1 \"a\"\n*Arcs\n1 2 3\n2 1 3\n2 3 1.5\n"
+                                   "*Edges\n3 4 0.5\n",
+                                   _info(5, 0.0, 1.5, 2, True), _NOT_INTEGRAL),
+    }
+
+    @pytest.mark.parametrize("command", ["info", "region"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_exit_status_and_error(self, capsys, tmp_path, case, command):
+        text, info, region = self.CASES[case]
+        expected = info if command == "info" else region
+        graph_file = tmp_path / "graph"
+        graph_file.write_text(text)
+        if isinstance(expected, dict):
+            expected = (0, json.dumps(expected, indent=2) + "\n", "")
+        else:
+            expected = (1, "", expected)
+        assert run(capsys, command, str(graph_file)) == expected
+
+
+class TestNoNumpyForThePrecheck:
+    """info and region need only degrees and components, so they never import numpy."""
+
+    @pytest.fixture(scope="class")
+    def commands(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("precheck")
+        edge_list, pajek = tmp / "path.txt", tmp / "path.paj"
+        # The path P4 with every weight 2, rescaled to 1.
+        edge_list.write_text("nodes 4 base 1\n1 2 2\n2 3 2\n3 4 2\n")
+        pajek.write_text("*Vertices 4\n*Arcs\n2 1 2\n2 3 2\n*Edges\n3 4 2\n")
+        files = [str(edge_list), str(pajek), KARATE]
+        return ([[command, f] for command in ("info", "region") for f in files]
+                + [["region", "--dmin", "2", "--dmax", "5"]])
+
+    @staticmethod
+    def python(*args) -> subprocess.CompletedProcess:
+        src = str(Path(graphspectra.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+
+    def test_import_graphspectra_loads_no_numpy(self):
+        proc = self.python("-c", "import sys, graphspectra\n"
+                                 "sys.exit('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_through_python_m(self, commands):
+        """-X importtime lists every module the command imports on stderr."""
+        for argv in commands:
+            proc = self.python("-X", "importtime", "-m", "graphspectra", *argv)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+            assert "graphspectra.graphs" in imported
+            assert [m for m in imported if m.split(".")[0] == "numpy"] == [], argv
+
+    def test_through_cli_main(self, commands):
+        script = (
+            "import sys\n"
+            "import graphspectra.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    assert graphspectra.cli.main(argv) == 0, argv\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "sys.exit(f'numpy modules loaded: {loaded}' if loaded else 0)\n"
+        )
+        proc = self.python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count('"region": "bold"') == 4  # P4 from both files
 
 
 class TestPrecheckCost:

@@ -452,8 +452,48 @@ def _edge_list_text(n, edges, base=0):
     return "\n".join(lines) + "\n"
 
 
+def _pajek_text(n, edges):
+    """Every other edge as an *Arc in reverse, the first arc also forward; the rest as *Edges."""
+    items = list(edges.items())
+    arcs = [f"{v + 1} {u + 1} {w!r}" for (u, v), w in items[::2]]
+    arcs += [f"{u + 1} {v + 1} {w!r}" for (u, v), w in items[:1]]
+    lines = [f"*Vertices {n}"] + [f'{v + 1} "v{v + 1}"' for v in range(min(n, 3))]
+    lines += ["*Arcs"] + arcs + ["*Edges"] + [f"{u + 1} {v + 1} {w!r}" for (u, v), w in items[1::2]]
+    return "\n".join(lines) + "\n"
+
+
+def _same_array(a, b):
+    """Equal bit for bit, of the same dtype and shape, and both read-only."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            and not a.flags.writeable and not b.flags.writeable)
+
+
 class TestEdgeListCore:
     """A graph is its edge arrays; the dense matrix is derived from them on demand."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(weighted_edge_lists(), st.sampled_from(["edgelist", "pajek"]))
+    def test_loaded_graph_matches_from_edges_bit_for_bit(self, case, fmt):
+        """The loaders sum degrees in Python, from_edges by np.bincount: the same bits."""
+        n, edges = case
+        if fmt == "edgelist":
+            loaded = load_edge_list(_edge_list_text(n, edges))
+        else:
+            loaded = load_pajek(_pajek_text(n, edges))
+        pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        weights = np.array(list(edges.values()))
+        if weights.size and weights.max() > 1.0:
+            weights = weights / weights.max()
+        reference = Graph.from_edges(n, pairs, weights)
+        assert loaded.rescaled == bool(weights.size and max(edges.values()) > 1.0)
+        for name in ("edges", "edge_weights", "degrees"):
+            assert _same_array(getattr(loaded, name), getattr(reference, name)), name
+        ds = degree_summary(loaded)
+        if n:
+            assert (ds.d_min, ds.d_max) == (loaded.degrees.min(), loaded.degrees.max())
+        else:
+            assert (ds.d_min, ds.d_max) == (0.0, 0.0)
+        assert (type(ds.d_min), type(ds.d_max)) == (float, float)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(weighted_edge_lists())
