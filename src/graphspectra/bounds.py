@@ -341,11 +341,12 @@ def mapped_support(pair: MatrixPair, ds: DegreeSummary) -> tuple[float, float]:
 
 
 def weyl_check(g: Graph) -> WeylReport:
-    """Independent interval check on the A_L relation via Weyl's inequality.
+    """The A_L bound restated index by index as Weyl's inequality, not checked anew.
 
     The shifted adjacency d*I - A perturbs the Laplacian by the diagonal
-    d*I - D, so each shifted eigenvalue d - mu_i must differ from
-    lambda_i by something in [d - d_max, d - d_min].
+    d*I - D, so each d - mu_i differs from lambda_i by something in
+    [d - d_max, d - d_min] = [-e(A,L), e(A,L)]: the differences are the A_L
+    pair's transformed - target, and ``ok`` repeats its ``within_bound``.
     """
     ds = degree_summary(g)
     d = _shift(ds)

@@ -47,20 +47,19 @@ class Graph:
 
     The loaders build a graph from Python lists and sum its degrees in
     Python, in the order ``np.bincount`` sums them; ``edges``,
-    ``edge_weights`` and ``degrees`` become arrays on first access.
-    ``rescaled`` is set by the loaders when weights above 1 were divided
-    by the maximum weight. Instances are immutable; every array is marked
-    read-only, and so are the spectra memoised on the instance.
+    ``edge_weights``, ``degrees`` and ``weights`` are read-only arrays
+    derived on first access and kept. ``rescaled`` is set by the loaders
+    when weights above 1 were divided by the maximum weight. Instances are
+    immutable, and so are the spectra memoised on the instance.
     """
 
     n: int
     index_base: int
     rescaled: bool
-    # Read-only arrays, or for a loaded graph Python lists until first access.
+    # A loader's Python lists, or read-only arrays; never changed after construction.
     _edges: object = field(repr=False)
     _edge_weights: object = field(repr=False)
     _degrees: object = field(repr=False)
-    _weights: Optional[np.ndarray] = field(repr=False)
     _summary: DegreeSummary = field(repr=False)
     # RepresentationKind -> Spectrum, filled by spectra.spectrum.
     _spectra: dict = field(repr=False)
@@ -85,7 +84,9 @@ class Graph:
         u, v = np.nonzero(w)
         upper = u < v
         u, v = u[upper], v[upper]
-        self._setup(n, np.stack([u, v], axis=1), w[u, v], index_base, rescaled, w)
+        self._setup(n, np.stack([u, v], axis=1), w[u, v], index_base, rescaled)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)  # the cached property's value
 
     @classmethod
     def from_edges(cls, n: int, edges, edge_weights, index_base: int = 0,
@@ -118,23 +119,10 @@ class Graph:
         if not np.all((w > 0.0) & (w <= 1.0)):
             raise ValueError("edge weights must lie in (0, 1]")
         g = cls.__new__(cls)
-        g._setup(n, e, w, index_base, rescaled, None)
+        g._setup(n, e, w, index_base, rescaled)
         return g
 
-    @classmethod
-    def _loaded(cls, n: int, pairs: list, edge_weights: list, index_base: int,
-                rescaled: bool) -> Graph:
-        """Graph from a loader's sorted pairs u < v and their weights in (0, 1]."""
-        degrees = [0.0] * n
-        for (u, v), w in zip(pairs, edge_weights):  # edge by edge, as np.bincount adds
-            degrees[u] += w
-            degrees[v] += w
-        g = cls.__new__(cls)
-        g._bind(n, pairs, edge_weights, degrees, min(degrees, default=0.0),
-                max(degrees, default=0.0), index_base, rescaled, None)
-        return g
-
-    def _setup(self, n, edges, edge_weights, index_base, rescaled, weights) -> None:
+    def _setup(self, n, edges, edge_weights, index_base, rescaled) -> None:
         import numpy as np
 
         # Edge rows are in lexicographic order, so each vertex sums its
@@ -142,64 +130,58 @@ class Graph:
         # int64 when there are no edges; degrees are always float64.
         degrees = np.bincount(edges.reshape(-1), weights=np.repeat(edge_weights, 2),
                               minlength=n).astype(float, copy=False)
-        for a in (edges, edge_weights, degrees, weights):
-            if a is not None:
-                a.setflags(write=False)
+        for a in (edges, edge_weights, degrees):
+            a.setflags(write=False)
         extremes = (float(degrees.min()), float(degrees.max())) if n else (0.0, 0.0)
-        self._bind(n, edges, edge_weights, degrees, *extremes, index_base, rescaled, weights)
+        self._bind(n, edges, edge_weights, degrees, *extremes, index_base, rescaled)
 
-    def _bind(self, n, edges, edge_weights, degrees, d_min, d_max, index_base, rescaled,
-              weights) -> None:
+    def _bind(self, n, edges, edge_weights, degrees, d_min, d_max, index_base, rescaled) -> None:
         if index_base not in (0, 1):
             raise ValueError("index_base must be 0 or 1")
         for name, value in (("n", n), ("_edges", edges), ("_edge_weights", edge_weights),
                             ("_degrees", degrees), ("index_base", index_base),
-                            ("rescaled", rescaled), ("_weights", weights),
-                            ("_summary", DegreeSummary(d_min, d_max)), ("_spectra", {})):
+                            ("rescaled", rescaled), ("_summary", DegreeSummary(d_min, d_max)),
+                            ("_spectra", {})):
             object.__setattr__(self, name, value)
 
-    def _array(self, name: str, dtype: str, shape: tuple) -> np.ndarray:
-        """The attribute `name` as a read-only array, converted from a list once."""
-        value = getattr(self, name)
-        if isinstance(value, list):
-            import numpy as np
-
-            value = np.array(value, dtype=dtype).reshape(shape)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        return value
-
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
         """The m x 2 intp array of pairs u < v in lexicographic order, read-only."""
-        return self._array("_edges", "intp", (-1, 2))
+        return _read_only(self._edges, "intp", (-1, 2))
 
-    @property
+    @cached_property
     def edge_weights(self) -> np.ndarray:
         """The m edge weights in the order of ``edges``, read-only."""
-        return self._array("_edge_weights", "float64", (-1,))
+        return _read_only(self._edge_weights, "float64", (-1,))
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
         """The n weighted degrees, read-only."""
-        return self._array("_degrees", "float64", (-1,))
+        return _read_only(self._degrees, "float64", (-1,))
 
     def _pairs(self) -> list:
         """The edge pairs as a list of Python pairs (u, v), in the order of ``edges``."""
         return self._edges if isinstance(self._edges, list) else self._edges.tolist()
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """The symmetric n x n weight matrix, read-only, built on first access."""
-        if self._weights is None:
-            import numpy as np
+        """The symmetric n x n weight matrix, read-only, built from the edges on first access."""
+        import numpy as np
 
-            w = np.zeros((self.n, self.n))
-            u, v = self.edges.T
-            w[u, v] = w[v, u] = self.edge_weights
-            w.setflags(write=False)
-            object.__setattr__(self, "_weights", w)
-        return self._weights
+        w = np.zeros((self.n, self.n))
+        u, v = self.edges.T
+        w[u, v] = w[v, u] = self.edge_weights
+        w.setflags(write=False)
+        return w
+
+
+def _read_only(values, dtype: str, shape: tuple) -> np.ndarray:
+    """``values`` as a read-only array, not copied when it is an array of that dtype."""
+    import numpy as np
+
+    a = np.asarray(values, dtype=dtype).reshape(shape)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -240,11 +222,8 @@ class ClassTag:
     k: int
 
 
-def _graph_from_edges(
-    n: int,
-    edges: dict[tuple[int, int], float],
-    index_base: int,
-) -> Graph:
+def _graph_from_edges(n: int, edges: dict[tuple[int, int], float], index_base: int) -> Graph:
+    """A loader's graph from its edges {(u, v): weight} with u < v, in Python lists."""
     max_weight = max(edges.values(), default=1.0)
     rescaled = max_weight > 1.0
     pairs = sorted(edges)
@@ -254,7 +233,14 @@ def _graph_from_edges(
         if not all(w > 0.0 for w in weights):
             raise GraphFormatError(
                 f"a weight underflows to 0 when divided by the maximum weight {max_weight!r}")
-    return Graph._loaded(n, pairs, weights, index_base, rescaled)
+    degrees = [0.0] * n
+    for (u, v), w in zip(pairs, weights):  # edge by edge, as np.bincount adds
+        degrees[u] += w
+        degrees[v] += w
+    g = Graph.__new__(Graph)
+    g._bind(n, pairs, weights, degrees, min(degrees, default=0.0), max(degrees, default=0.0),
+            index_base, rescaled)
+    return g
 
 
 def _check_vertex_count(n: int, lineno: Optional[int] = None) -> None:

@@ -13,8 +13,8 @@ every result is checked for residual and orthonormality before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +40,6 @@ class Spectrum:
     kind: RepresentationKind
     values: np.ndarray
     support: tuple[float, float]
-    # The normalised eigengaps, set by normalized_eigengaps on first use.
-    _gaps: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -50,6 +48,13 @@ class Spectrum:
     @property
     def support_length(self) -> float:
         return self.support[1] - self.support[0]
+
+    @cached_property
+    def _normalized_gaps(self) -> np.ndarray:
+        """The read-only normalised eigengaps; see :func:`normalized_eigengaps`."""
+        gaps = _eigengaps(self)
+        gaps.setflags(write=False)
+        return gaps
 
 
 def build_matrix(g: Graph, kind: RepresentationKind) -> np.ndarray:
@@ -164,11 +169,7 @@ def normalized_eigengaps(s: Spectrum) -> np.ndarray:
     the gaps are zero. Computed once per spectrum, which is immutable: every
     call returns the same read-only array.
     """
-    if s._gaps is None:
-        gaps = _eigengaps(s)
-        gaps.setflags(write=False)
-        object.__setattr__(s, "_gaps", gaps)
-    return s._gaps
+    return s._normalized_gaps
 
 
 def _eigengaps(s: Spectrum) -> np.ndarray:

@@ -72,6 +72,12 @@ def random_graph(rng, n, p=0.5):
     return Graph(n=n, weights=w)
 
 
+def generator_family():
+    graphs = [gen_star(n) for n in (2, 5, 18)]
+    graphs += [gen_complete(k) for k in (2, 3, 7, 18)]
+    return graphs + [gen_graph_c(k) for k in (2, 3, 10, 18)]
+
+
 class TestTransformParams:
     """The shift d = (d_max + d_min)/2 and the scale c = 2/(d_max + d_min), bit for bit."""
 
@@ -440,6 +446,15 @@ class TestWeylCheck:
         rng = np.random.default_rng(23)
         for _ in range(25):
             assert weyl_check(random_graph(rng, int(rng.integers(3, 11)))).ok
+
+    def test_repeats_the_a_l_bound(self, karate):
+        """[d - d_max, d - d_min] is [-e(A,L), e(A,L)] and the differences are
+        transformed - target of the A_L pair, so ok is that pair's within_bound."""
+        for g in generator_family() + [karate]:
+            report, d = weyl_check(g), pair_differences(MatrixPair.A_L, g)
+            assert (report.lower, report.upper) == (-d.bound, d.bound)
+            assert report.differences.tobytes() == (d.transformed - d.target).tobytes()
+            assert report.ok == d.within_bound
 
 
 class TestPolynomialSpectrumMap:
@@ -882,10 +897,7 @@ class TestTransformProperties:
                 assert np.abs(mapped_gaps - source_gaps).max() <= 1e-12
 
     def test_bounds_hold_on_generator_family(self):
-        graphs = [gen_star(n) for n in (2, 5, 18)]
-        graphs += [gen_complete(k) for k in (2, 3, 7, 18)]
-        graphs += [gen_graph_c(k) for k in (2, 3, 10, 18)]
-        for g in graphs:
+        for g in generator_family():
             for pair in MatrixPair:
                 assert pair_differences(pair, g).within_bound
                 gd = gap_differences(pair, g)

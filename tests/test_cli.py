@@ -740,3 +740,40 @@ class TestExitCodes:
         code, _, err = run(capsys, "info", str(graph_file))
         assert code == 1
         assert "self-loop" in err
+
+    # A 4-vertex graph of two edges (1-based); clustering it at k = 2 reaches the truth file.
+    TRUTH_GRAPH = "nodes 4 base 1\n1 2\n3 4\n"
+
+    @pytest.mark.parametrize("truth, message", [
+        ("1 0 7\n", "truth file line 1: expected 'vertex_id label'"),
+        ("1 0\n9 1\n", "truth file line 2: vertex id 9 out of range"),
+        ("1 -1\n", "truth file line 1: labels must be non-negative"),
+        ("1 0\n# again\n1 1\n", "truth file line 3: duplicate vertex id 1"),
+        ("1 0\n2 0\n4 1\n", "truth file is missing a label for vertex 3"),
+    ])
+    def test_bad_truth_file_is_one_error_line(self, capsys, tmp_path, truth, message):
+        graph_file, truth_file = tmp_path / "graph.txt", tmp_path / "truth.txt"
+        graph_file.write_text(self.TRUTH_GRAPH)
+        truth_file.write_text(truth)
+        code, out, err = run(capsys, "cluster", str(graph_file), "--kind", "L", "--k", "2",
+                             "--truth", str(truth_file))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 2 3\n", "line 1: malformed header 'nodes 2 3'"),
+        ("nodes two\n", "line 1: malformed header 'nodes two'"),
+        ("nodes 2 base 2\n", "line 1: malformed header 'nodes 2 base 2'"),
+        ("nodes 2\n0 1 abc\n", "line 2: non-numeric weight 'abc'"),
+        ("nodes 2\n0 1 0\n", "line 2: edge weight must be positive and finite"),
+        ("nodes 2\n0 1 inf\n", "line 2: edge weight must be positive and finite"),
+        ("*Vertices\n", "line 1: *Vertices needs a count"),
+        ("*Vertices two\n", "line 1: non-numeric vertex count"),
+        ("*Vertices 2\n*Matrix\n", "line 2: unsupported section '*Matrix'"),
+        ("*Vertices 2\n*Edges\n1 2 1 1\n", "line 3: malformed edges line '1 2 1 1'"),
+        ("*Vertices 2\n*Edges\n2 2\n", "line 3: self-loop on vertex 2"),
+        ("*Vertices 2\n*Edges\n1 2\n2 1\n", "line 4: duplicate edge 2 1"),
+    ])
+    def test_malformed_graph_file_is_one_error_line(self, capsys, tmp_path, text, message):
+        graph_file = tmp_path / "graph"
+        graph_file.write_text(text)
+        assert run(capsys, "info", str(graph_file)) == (1, "", f"error: {message}\n")

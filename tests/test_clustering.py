@@ -164,6 +164,17 @@ class TestBatchedRestarts:
         with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
             _assert_matches_reference(points, k, restarts, seed)
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(point_sets())
+    def test_iteration_cap_ends_like_the_reference(self, cap, case):
+        """Restarts still moving at the cap return their last labels and inertia;
+        the reference reads the same cap. At cap 1 every restart stops there."""
+        points, k, restarts, seed, budget = case
+        with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget), \
+                mock.patch.object(clustering, "MAX_LLOYD_ITERATIONS", cap):
+            _assert_matches_reference(points, k, restarts, seed)
+
     def test_several_blocks(self):
         """n = 68 and k = d = 59, the size of the C(50) Lrw clustering."""
         points = np.random.default_rng(11).standard_normal((68, 59))
@@ -411,6 +422,19 @@ class TestCompareClusterings:
                              empty_clusters=())
         with pytest.raises(ValueError):
             compare_clusterings(a, b)
+
+    @pytest.mark.parametrize("bases, labels, message", [
+        ((0, 1), ([0, 1], [0, 1]), "clusterings use different index bases"),
+        ((1, 1), ([0, -1], [0, 1]), "cluster labels must be non-negative"),
+        ((1, 1), ([0, 1], [-1, 0]), "cluster labels must be non-negative"),
+    ])
+    def test_guards(self, bases, labels, message):
+        a, b = (ClusteringResult(labels=np.array(lab), inertia=0.0, kind=None, k=2,
+                                 empty_clusters=(), index_base=base)
+                for lab, base in zip(labels, bases))
+        with pytest.raises(ValueError) as excinfo:
+            compare_clusterings(a, b)
+        assert str(excinfo.value) == message
 
 
 def _reference_compare_clusterings(a, b):

@@ -62,6 +62,7 @@ def _commands() -> dict[str, list[str]]:
     for graph in ("karate", "c18", "c4w", "iso"):
         for name in ("info", "region"):
             cmds[f"{name}_{graph}"] = [name, "{" + graph + "}"]
+    cmds["gaps_iso"] = ["gaps", "{iso}"]  # d_min = 0: the Lrw gap bounds and pairs are null
     for name, args in GENERATED.items():
         cmds[f"gen_{name}"] = ["gen", *args]
     for graph, kind, k in CLUSTERINGS:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from graphspectra import (
     Graph,
     GraphFormatError,
+    RepresentationKind,
     class_tag,
     connected_components,
     degree_summary,
@@ -27,6 +28,8 @@ from graphspectra import (
     load_edge_list,
     load_graph,
     load_pajek,
+    normalized_eigengaps,
+    spectrum,
 )
 from graphspectra.cli import _write_edge_list
 from graphspectra.data import karate_net_path
@@ -549,6 +552,29 @@ class TestEdgeListCore:
         g = load_edge_list("nodes 3\n0 1\n1 2 0.5\n")
         assert g.weights is g.weights
         assert g.weights[1, 2] == g.weights[2, 1] == 0.5
+
+    def test_derived_arrays_are_cached_and_the_fields_keep_their_type(self):
+        """Reading the arrays of a loaded graph leaves its fields the loader's lists."""
+        g = load_edge_list("nodes 4\n0 1\n2 1 0.5\n")
+        fields = (g._edges, g._edge_weights, g._degrees)
+        assert fields == ([(0, 1), (1, 2)], [1.0, 0.5], [1.0, 1.5, 0.5, 0.0])
+        for name in ("edges", "edge_weights", "degrees", "weights"):
+            a = getattr(g, name)
+            assert getattr(g, name) is a and not a.flags.writeable, name
+        assert all(now is then for now, then in zip((g._edges, g._edge_weights, g._degrees),
+                                                     fields))
+        spec = spectrum(g, RepresentationKind.LAPLACIAN)
+        assert normalized_eigengaps(spec) is normalized_eigengaps(spec)
+
+    def test_arrays_of_an_array_built_graph_are_not_copied(self):
+        w = np.array([[0.0, 0.5], [0.5, 0.0]])
+        dense = Graph(2, w)
+        assert dense.weights is dense.weights and not np.shares_memory(dense.weights, w)
+        for g in (dense, Graph.from_edges(3, [(0, 1)], [1.0])):
+            for name in ("edges", "edge_weights", "degrees"):
+                a = getattr(g, name)
+                assert np.shares_memory(a, getattr(g, "_" + name)), name
+                assert a is getattr(g, name) and not a.flags.writeable, name
 
     @pytest.mark.parametrize("edges, weights, message", [
         ([(0, 3)], [1.0], "0..2"),
