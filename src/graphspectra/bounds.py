@@ -23,13 +23,12 @@ import numpy as np
 
 from .graphs import DegreeSummary, Graph, degree_summary
 from .graphs import Region, classify_region  # noqa: F401 (re-exported)
-from .spectra import Spectrum, normalized_eigengaps, spectrum
+from .spectra import Spectrum, normalized_eigengaps, spectral_support, spectrum
 from .vocabulary import (
     DEFAULT_CROSSOVER_TOL,
     DEFAULT_MERGE_TOL,
     PAIR_KINDS,
     MatrixPair,
-    RepresentationKind,
 )
 
 # Slack allowed when checking computed differences against a closed-form bound.
@@ -146,16 +145,22 @@ class PolyMapReport:
     max_residual: Optional[float]
 
 
-def _shift(ds: DegreeSummary) -> float:
-    return (ds.d_max + ds.d_min) / 2.0
-
-
-def _scale(ds: DegreeSummary) -> float:
-    # An edgeless graph has the shift (d = 0) but no scale.
+def _affine(pair: MatrixPair, ds: DegreeSummary) -> tuple[float, float]:
+    """The pair's map x -> a + b*x as (a, b); an edgeless graph has d = 0 but no scale c."""
     total = ds.d_max + ds.d_min
+    if pair is MatrixPair.A_L:
+        return total / 2.0, -1.0
     if total <= 0:
         raise ValueError("transform parameters need d_max + d_min > 0")
-    return 2.0 / total
+    c = 2.0 / total
+    if pair is MatrixPair.L_LRW:
+        return -0.0, c  # -0.0 is the additive identity: -0.0 + c*x is c*x even where that is -0.0
+    return 1.0, -c
+
+
+def _within(values: np.ndarray, bound: float) -> bool:
+    """max |values| <= bound, allowing BOUND_SLACK for rounding; a NaN value is never within."""
+    return bool(np.abs(values).max(initial=0.0) <= bound + BOUND_SLACK)
 
 
 def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np.ndarray:
@@ -169,11 +174,8 @@ def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np
     kind = PAIR_KINDS[pair][0]
     if source.kind is not kind:
         raise ValueError(f"pair {pair.value} maps the {kind.value} spectrum, got {source.kind.value}")
-    if pair is MatrixPair.A_L:
-        return _shift(ds) - source.values
-    if pair is MatrixPair.L_LRW:
-        return _scale(ds) * source.values
-    return 1.0 - _scale(ds) * source.values
+    a, b = _affine(pair, ds)
+    return a + b * source.values
 
 
 def eigenvalue_bound_set(ds: DegreeSummary) -> BoundSet:
@@ -248,14 +250,13 @@ def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
     transformed = apply_transform(pair, ds, source)
     deltas = target.values - transformed
     bound = getattr(eigenvalue_bound_set(ds), _BOUND_FIELDS[pair][0])
-    within = bool(np.abs(deltas).max(initial=0.0) <= bound + BOUND_SLACK)
     return PairDifferences(
         pair=pair,
         transformed=transformed,
         target=target.values,
         deltas=deltas,
         bound=bound,
-        within_bound=within,
+        within_bound=_within(deltas, bound),
     )
 
 
@@ -299,23 +300,19 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
     bound = getattr(gb, gap_field)
     primed_bound = None if primed_field is None else getattr(gb, primed_field)
     primed_diffs: Optional[np.ndarray] = None
+    primed_within: Optional[bool] = None
     if primed_bound is not None:
         raw_source = source_gaps * source.support_length
         raw_target = target_gaps * target.support_length
-        primed_diffs = 0.5 * np.abs(_scale(ds) * raw_source - raw_target)
-    within = bool(diffs.max(initial=0.0) <= bound + BOUND_SLACK)
-    primed_within = (
-        None
-        if primed_diffs is None
-        else bool(primed_diffs.max(initial=0.0) <= primed_bound + BOUND_SLACK)
-    )
+        primed_diffs = 0.5 * np.abs(abs(_affine(pair, ds)[1]) * raw_source - raw_target)
+        primed_within = _within(primed_diffs, primed_bound)
     return GapDifferences(
         pair=pair,
         source_gaps=source_gaps,
         target_gaps=target_gaps,
         diffs=diffs,
         bound=bound,
-        within_bound=within,
+        within_bound=_within(diffs, bound),
         primed_diffs=primed_diffs,
         primed_bound=primed_bound,
         primed_within=primed_within,
@@ -329,15 +326,9 @@ def mapped_support(pair: MatrixPair, ds: DegreeSummary) -> tuple[float, float]:
     (image (0, 0)); f2 (L_Lrw) and f3 (A_Lrw) need the scale
     2/(d_max + d_min) and raise there.
     """
-    diff = ds.d_max - ds.d_min
-    if pair is MatrixPair.A_L:
-        return (-diff / 2.0, (3.0 * ds.d_max + ds.d_min) / 2.0)
-    total = ds.d_max + ds.d_min
-    if total <= 0:
-        raise ValueError("mapped supports of f2 and f3 need d_max + d_min > 0")
-    if pair is MatrixPair.L_LRW:
-        return (0.0, 4.0 * ds.d_max / total)
-    return (-diff / total, (3.0 * ds.d_max + ds.d_min) / total)
+    a, b = _affine(pair, ds)
+    ends = [a + b * end for end in spectral_support(PAIR_KINDS[pair][0], ds.d_max)]
+    return (min(ends), max(ends))
 
 
 def weyl_check(g: Graph) -> WeylReport:
@@ -349,16 +340,11 @@ def weyl_check(g: Graph) -> WeylReport:
     pair's transformed - target, and ``ok`` repeats its ``within_bound``.
     """
     ds = degree_summary(g)
-    d = _shift(ds)
-    mu = spectrum(g, RepresentationKind.ADJACENCY).values
-    lam = spectrum(g, RepresentationKind.LAPLACIAN).values
-    differences = (d - mu) - lam
-    lower = d - ds.d_max
-    upper = d - ds.d_min
-    ok = bool(
-        np.all(differences >= lower - BOUND_SLACK) and np.all(differences <= upper + BOUND_SLACK)
-    )
-    return WeylReport(ok=ok, lower=lower, upper=upper, differences=differences)
+    d, _ = _affine(MatrixPair.A_L, ds)
+    a_l = pair_differences(MatrixPair.A_L, g)
+    differences = a_l.transformed - a_l.target
+    lower, upper = d - ds.d_max, d - ds.d_min
+    return WeylReport(ok=a_l.within_bound, lower=lower, upper=upper, differences=differences)
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:

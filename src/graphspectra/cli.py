@@ -59,16 +59,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _jsonable(obj):
-    import numpy as np  # only arrays and numpy scalars get here
-
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serialisable: {type(obj)!r}")
-
-
 def _json_float(x: float):
     """x itself when finite, else its name: strict JSON has no inf or NaN."""
     if math.isfinite(x):
@@ -77,7 +67,7 @@ def _json_float(x: float):
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _round2(x, strip: bool) -> str:

@@ -113,6 +113,61 @@ class TestTransformParams:
                 apply_transform(pair, ds, spectrum(g, kind))
 
 
+def random_weighted_graph(rng, n, p):
+    w = np.zeros((n, n))
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    w[upper] = rng.uniform(0.01, 1.0, size=int(upper.sum()))
+    return Graph(n=n, weights=w + w.T)
+
+
+class TestAffineMapsMatchTheirClosedForms:
+    """Each map x -> a + b*x gives the bits of d - x, c*x and 1 - c*x, and the
+    Weyl report those of its own interval check, on random weighted graphs."""
+
+    def test_random_weighted_graphs(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 200:
+            g = random_weighted_graph(rng, int(rng.integers(2, 13)), rng.uniform(0.2, 1.0))
+            ds = degree_summary(g)
+            if ds.d_max <= 0:
+                continue
+            checked += 1
+            d, c = (ds.d_max + ds.d_min) / 2.0, 2.0 / (ds.d_max + ds.d_min)
+            mu, lam = spectrum(g, A), spectrum(g, L)
+            for pair, source, expected in ((MatrixPair.A_L, mu, d - mu.values),
+                                           (MatrixPair.L_LRW, lam, c * lam.values),
+                                           (MatrixPair.A_LRW, mu, 1.0 - c * mu.values)):
+                assert apply_transform(pair, ds, source).tobytes() == expected.tobytes()
+            differences = (d - mu.values) - lam.values
+            lower, upper = d - ds.d_max, d - ds.d_min
+            ok = bool(np.all(differences >= lower - bounds.BOUND_SLACK)
+                      and np.all(differences <= upper + bounds.BOUND_SLACK))
+            report = weyl_check(g)
+            assert (_bits(report.lower), _bits(report.upper)) == (_bits(lower), _bits(upper))
+            assert report.differences.tobytes() == differences.tobytes()
+            assert report.ok == ok
+            # The mapped supports are images of the source supports, no longer closed
+            # forms of their own, so they move by a few ulps of their scale.
+            diff, total = ds.d_max - ds.d_min, ds.d_max + ds.d_min
+            closed_forms = {
+                MatrixPair.A_L: (-diff / 2.0, (3.0 * ds.d_max + ds.d_min) / 2.0),
+                MatrixPair.L_LRW: (0.0, 4.0 * ds.d_max / total),
+                MatrixPair.A_LRW: (-diff / total, (3.0 * ds.d_max + ds.d_min) / total),
+            }
+            for pair, ends in closed_forms.items():
+                scale = max(ds.d_max, 1.0)
+                assert mapped_support(pair, ds) == pytest.approx(ends, rel=0, abs=4 * EPS * scale)
+            if ds.d_min > 0:
+                for pair in (MatrixPair.L_LRW, MatrixPair.A_LRW):
+                    gd = gap_differences(pair, g)
+                    source, target = (spectrum(g, kind) for kind in bounds.PAIR_KINDS[pair])
+                    raw_source = gd.source_gaps * source.support_length
+                    raw_target = gd.target_gaps * target.support_length
+                    primed = 0.5 * np.abs(c * raw_source - raw_target)
+                    assert gd.primed_diffs.tobytes() == primed.tobytes()
+
+
 class TestApplyTransform:
     def test_f1_on_k3_recovers_laplacian(self):
         g = gen_complete(3)

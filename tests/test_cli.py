@@ -759,6 +759,30 @@ class TestExitCodes:
                              "--truth", str(truth_file))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("graph, argv, message", [
+        (None, ("gen", "bipartiteb", "5"), "bipartiteb does not take a size"),
+        (None, ("table", "--dmin-max", "-1"), "table needs --dmin-max >= 0 and --dmax-max >= 1"),
+        (None, ("sweep", "--graphc", "5..3"), "empty range '5..3'"),
+        ("nodes 0\n", ("polymap", "--pair", "A_L"), "cannot interpolate empty spectra"),
+        ("nodes 1\n", ("gaps",), "gap bounds need d_max > 0"),
+        ("nodes 1\n", ("plotdata", "--figure", "gaps", "--pair", "A_L"),
+         "eigengaps need at least two eigenvalues"),
+    ])
+    def test_domain_error_is_one_error_line(self, capsys, tmp_path, graph, argv, message):
+        if graph is not None:
+            graph_file = tmp_path / "graph.txt"
+            graph_file.write_text(graph)
+            argv = (argv[0], str(graph_file), *argv[1:])
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_solver_failure_is_one_error_line(self, capsys, monkeypatch):
+        def failing_eigh(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert run(capsys, "spectra", KARATE, "--kind", "A") == (
+            1, "", "error: A matrix (n=34): LAPACK eigh failed (Eigenvalues did not converge)\n")
+
     @pytest.mark.parametrize("text, message", [
         ("nodes 2 3\n", "line 1: malformed header 'nodes 2 3'"),
         ("nodes two\n", "line 1: malformed header 'nodes two'"),

@@ -30,6 +30,7 @@ from graphspectra import (
     spectral_support,
     spectrum,
 )
+from graphspectra import spectra
 from graphspectra.spectra import _validate_pairs
 
 A = RepresentationKind.ADJACENCY
@@ -138,6 +139,39 @@ class TestEigSym:
             eig_sym(np.zeros((2, 3)), label="testmat")
 
 
+class TestSolverHealthChecks:
+    """A faulty solver result ends in EigensolverError, never in a spectrum."""
+
+    def test_lapack_failure(self, monkeypatch):
+        def failing_eigh(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(EigensolverError) as info:
+            eig_sym(np.eye(2), label="testmat")
+        assert str(info.value) == "testmat: LAPACK eigh failed (Eigenvalues did not converge)"
+
+    def test_vectors_not_orthonormal(self, monkeypatch):
+        """Vectors 1% too long still pass the residual check; their Gram defect is 2.01e-2."""
+        eigh = np.linalg.eigh
+
+        def stretched_eigh(m):
+            values, vectors = eigh(m)
+            return values, vectors * 1.01
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched_eigh)
+        with pytest.raises(EigensolverError) as info:
+            eig_sym(build_matrix(path3(), L), label="testmat")
+        assert str(info.value) == "testmat: eigenvectors not orthonormal (defect 2.010e-02)"
+
+    def test_values_escaping_the_support(self, monkeypatch):
+        """L(P3) = {0, 1, 3} does not fit a support narrowed to [0, 1]."""
+        monkeypatch.setattr(spectra, "spectral_support", lambda kind, d_max: (0.0, 1.0))
+        with pytest.raises(EigensolverError) as info:
+            spectrum(path3(), L)
+        assert str(info.value) == "L eigenvalues escape the Gershgorin support [0.0, 1.0]"
+
+
 class TestSpectrum:
     def test_star18_adjacency(self, star18):
         s = spectrum(star18, A)
@@ -208,6 +242,11 @@ class TestNormalizedEigengaps:
     def test_gaps_non_negative(self, karate):
         for kind in ALL_KINDS:
             assert normalized_eigengaps(spectrum(karate, kind)).min() >= 0.0
+
+    def test_zero_support_gives_zero_gaps(self):
+        """An edgeless graph's adjacency support [-0, 0] has length 0: no division."""
+        gaps = normalized_eigengaps(spectrum(load_edge_list("nodes 3\n"), A))
+        assert gaps.tolist() == [0.0, 0.0]
 
 
 class TestSpectralProperties:
