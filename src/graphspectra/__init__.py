@@ -29,7 +29,6 @@ _EXPORTS = {
         "eigenvalue_bound_set",
         "gap_bound_set",
         "gap_differences",
-        "mapped_support",
         "pair_differences",
         "polynomial_spectrum_map",
         "weyl_check",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "gen_complete",
         "gen_graph_c",
         "gen_star",
-        "is_d_regular",
         "load_edge_list",
         "load_graph",
         "load_pajek",

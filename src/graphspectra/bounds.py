@@ -22,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import DegreeSummary, Graph, degree_summary
-from .graphs import Region, classify_region  # noqa: F401 (re-exported)
-from .spectra import Spectrum, normalized_eigengaps, spectral_support, spectrum
+from .spectra import Spectrum, normalized_eigengaps, spectrum
 from .vocabulary import (
     DEFAULT_CROSSOVER_TOL,
     DEFAULT_MERGE_TOL,
@@ -317,18 +316,6 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
         primed_bound=primed_bound,
         primed_within=primed_within,
     )
-
-
-def mapped_support(pair: MatrixPair, ds: DegreeSummary) -> tuple[float, float]:
-    """Image of the pair's source spectral support under the pair's affine map.
-
-    f1 (A_L) needs only the shift, so it is defined on an edgeless graph
-    (image (0, 0)); f2 (L_Lrw) and f3 (A_Lrw) need the scale
-    2/(d_max + d_min) and raise there.
-    """
-    a, b = _affine(pair, ds)
-    ends = [a + b * end for end in spectral_support(PAIR_KINDS[pair][0], ds.d_max)]
-    return (min(ends), max(ends))
 
 
 def weyl_check(g: Graph) -> WeylReport:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusteringResult
-from .graphs import Graph, load_pajek
+from .graphs import Graph, load_pajek, parse_number
 
 
 def karate_net_path() -> Path:
@@ -28,7 +28,7 @@ def karate_graph() -> Graph:
 
 def _parse_truth_int(token: str, what: str, lineno: int) -> int:
     try:
-        return int(token)
+        return parse_number(int, token)
     except ValueError:
         raise ValueError(f"truth file line {lineno}: non-numeric {what} {token!r}") from None
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -262,9 +261,16 @@ def _check_vertex_count(n: int, lineno: Optional[int] = None) -> None:
         raise GraphFormatError(f"line {lineno}: {message}")
 
 
+def parse_number(convert, token: str):
+    """``convert(token)``, int or float, but '_' separators and non-ASCII digits raise ValueError."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII number without '_': {token!r}")
+    return convert(token)
+
+
 def _parse_endpoint(token: str, n: int, base: int, lineno: int) -> int:
     try:
-        raw = int(token)
+        raw = parse_number(int, token)
     except ValueError:
         raise GraphFormatError(f"line {lineno}: non-numeric vertex id {token!r}") from None
     v = raw - base
@@ -277,7 +283,7 @@ def _parse_weight(token: Optional[str], lineno: int) -> float:
     if token is None:
         return 1.0
     try:
-        weight = float(token)
+        weight = parse_number(float, token)
     except ValueError:
         raise GraphFormatError(f"line {lineno}: non-numeric weight {token!r}") from None
     if not weight > 0.0 or not math.isfinite(weight):
@@ -310,8 +316,8 @@ def load_edge_list(text: str) -> Graph:
             if len(tokens) not in (2, 4) or (len(tokens) == 4 and tokens[2].lower() != "base"):
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
             try:
-                n = int(tokens[1])
-                base = int(tokens[3]) if len(tokens) == 4 else 0
+                n = parse_number(int, tokens[1])
+                base = parse_number(int, tokens[3]) if len(tokens) == 4 else 0
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
             if n < 0 or base not in (0, 1):
@@ -358,7 +364,7 @@ def load_pajek(text: str) -> Graph:
                 if len(tokens) < 2:
                     raise GraphFormatError(f"line {lineno}: *Vertices needs a count")
                 try:
-                    n = int(tokens[1])
+                    n = parse_number(int, tokens[1])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: non-numeric vertex count") from None
                 if n < 0:
@@ -516,14 +522,6 @@ def gen_bipartite_b() -> Graph:
     Y. The wiring is one concrete realisation of the degree sequence.
     """
     return _unweighted(34, [(0, 17)] + [(x, y) for x in range(1, 17) for y in range(17, 34)])
-
-
-def is_d_regular(g: Graph) -> Optional[float]:
-    """The common degree d when d_max - d_min is within the degrees' rounding, n*eps*d_max."""
-    ds = degree_summary(g)
-    if g.n and ds.d_max - ds.d_min <= g.n * sys.float_info.epsilon * ds.d_max:
-        return ds.d_min
-    return None
 
 
 def class_tag(ds: DegreeSummary) -> ClassTag:

@@ -36,7 +36,6 @@ from graphspectra import (
     gen_graph_c,
     gen_star,
     load_edge_list,
-    mapped_support,
     normalized_eigengaps,
     pair_differences,
     polynomial_spectrum_map,
@@ -147,17 +146,6 @@ class TestAffineMapsMatchTheirClosedForms:
             assert (_bits(report.lower), _bits(report.upper)) == (_bits(lower), _bits(upper))
             assert report.differences.tobytes() == differences.tobytes()
             assert report.ok == ok
-            # The mapped supports are images of the source supports, no longer closed
-            # forms of their own, so they move by a few ulps of their scale.
-            diff, total = ds.d_max - ds.d_min, ds.d_max + ds.d_min
-            closed_forms = {
-                MatrixPair.A_L: (-diff / 2.0, (3.0 * ds.d_max + ds.d_min) / 2.0),
-                MatrixPair.L_LRW: (0.0, 4.0 * ds.d_max / total),
-                MatrixPair.A_LRW: (-diff / total, (3.0 * ds.d_max + ds.d_min) / total),
-            }
-            for pair, ends in closed_forms.items():
-                scale = max(ds.d_max, 1.0)
-                assert mapped_support(pair, ds) == pytest.approx(ends, rel=0, abs=4 * EPS * scale)
             if ds.d_min > 0:
                 for pair in (MatrixPair.L_LRW, MatrixPair.A_LRW):
                     gd = gap_differences(pair, g)
@@ -448,37 +436,6 @@ class TestFactsComputedOnce:
             assert gaps.tobytes() == spectra._eigengaps(spec).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 gaps[0] = 1.0
-
-
-class TestMappedSupport:
-    def test_f1_class_1_17(self):
-        assert mapped_support(MatrixPair.A_L, summary(1, 17)) == (-8.0, 26.0)
-
-    def test_f2_regular_hits_lrw_support(self):
-        assert mapped_support(MatrixPair.L_LRW, summary(3, 3)) == (0.0, 2.0)
-
-    def test_f3_class_1_17(self):
-        lo, hi = mapped_support(MatrixPair.A_LRW, summary(1, 17))
-        assert lo == pytest.approx(-8 / 9)
-        assert hi == pytest.approx(26 / 9)
-
-    def test_edgeless_f1_is_the_origin_f2_f3_undefined(self):
-        """f1 needs only the shift d = 0; f2 and f3 need the scale 2/(d_max + d_min)."""
-        g = load_edge_list("nodes 3\n")
-        ds = degree_summary(g)
-        assert mapped_support(MatrixPair.A_L, ds) == (0.0, 0.0)
-        assert np.array_equal(pair_differences(MatrixPair.A_L, g).transformed, np.zeros(3))
-        for pair in (MatrixPair.L_LRW, MatrixPair.A_LRW):
-            with pytest.raises(ValueError, match="d_max \\+ d_min > 0"):
-                mapped_support(pair, ds)
-
-    def test_transformed_spectra_inside_mapped_support(self, karate):
-        ds = degree_summary(karate)
-        for pair, (kind, _) in bounds.PAIR_KINDS.items():
-            mapped = apply_transform(pair, ds, spectrum(karate, kind))
-            lo, hi = mapped_support(pair, ds)
-            assert mapped.min() >= lo - 1e-9
-            assert mapped.max() <= hi + 1e-9
 
 
 class TestWeylCheck:
@@ -943,11 +900,13 @@ class TestTransformProperties:
         """Gaps over the mapped support equal gaps over the source support to 1e-12."""
         for g in (karate, bipartite_b):
             ds = degree_summary(g)
+            c = 2.0 / (ds.d_max + ds.d_min)
             for pair, (kind, _) in bounds.PAIR_KINDS.items():
                 spec = spectrum(g, kind)
                 mapped = apply_transform(pair, ds, spec)
-                lo, hi = mapped_support(pair, ds)
-                mapped_gaps = (mapped[1:] - mapped[:-1]) / (hi - lo)
+                # x -> a + b*x stretches the support by |b|: 1 for f1, c for f2 and f3.
+                scale = 1.0 if pair is MatrixPair.A_L else c
+                mapped_gaps = (mapped[1:] - mapped[:-1]) / (scale * spec.support_length)
                 source_gaps = normalized_eigengaps(spec)
                 assert np.abs(mapped_gaps - source_gaps).max() <= 1e-12
 

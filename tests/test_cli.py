@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, round trips."""
 
+import argparse
 import json
 import math
 import os
@@ -394,6 +395,18 @@ class TestPublicNamespace:
         assert not hasattr(graphspectra, "numpy")
 
 
+class TestReadme:
+    def test_command_list_is_the_parsers_subcommands(self):
+        """The first words of the README's command block after 'exposes:' are the
+        subcommands of the parser, in its order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("exposes:", 1)[1].split("```", 2)[1]
+        listed = [line.split()[0] for line in block.splitlines() if line.strip()]
+        subcommands = next(action for action in cli.build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert listed == list(subcommands.choices)
+
+
 class TestImportCost:
     def test_no_command_loads_scipy(self, tmp_path):
         """The README session, every command the cli_session benchmark runs,
@@ -750,6 +763,8 @@ class TestExitCodes:
         ("1 -1\n", "truth file line 1: labels must be non-negative"),
         ("1 0\n# again\n1 1\n", "truth file line 3: duplicate vertex id 1"),
         ("1 0\n2 0\n4 1\n", "truth file is missing a label for vertex 3"),
+        ("1 0\n2 1_0\n", "truth file line 2: non-numeric label '1_0'"),
+        ("\uff11 0\n", "truth file line 1: non-numeric vertex id '\uff11'"),
     ])
     def test_bad_truth_file_is_one_error_line(self, capsys, tmp_path, truth, message):
         graph_file, truth_file = tmp_path / "graph.txt", tmp_path / "truth.txt"
@@ -796,6 +811,15 @@ class TestExitCodes:
         ("*Vertices 2\n*Edges\n1 2 1 1\n", "line 3: malformed edges line '1 2 1 1'"),
         ("*Vertices 2\n*Edges\n2 2\n", "line 3: self-loop on vertex 2"),
         ("*Vertices 2\n*Edges\n1 2\n2 1\n", "line 4: duplicate edge 2 1"),
+        # Python's int and float read '_' separators and non-ASCII digits; the formats do not.
+        ("nodes 20\n0 1_0\n", "line 2: non-numeric vertex id '1_0'"),
+        ("nodes 2\n0 1 1_0\n", "line 2: non-numeric weight '1_0'"),
+        ("nodes \uff13\n0 \uff12\n", "line 1: malformed header 'nodes \uff13'"),
+        ("nodes 3\n0 \uff12\n", "line 2: non-numeric vertex id '\uff12'"),
+        ("nodes 2\n0 1 \uff10.5\n", "line 2: non-numeric weight '\uff10.5'"),
+        ("*Vertices 1_0\n", "line 1: non-numeric vertex count"),
+        ("*Vertices 3\n*Edges\n1 \uff12\n", "line 3: non-numeric vertex id '\uff12'"),
+        ("nodes 2\n-1 1\n", "line 2: vertex id -1 out of range"),
     ])
     def test_malformed_graph_file_is_one_error_line(self, capsys, tmp_path, text, message):
         graph_file = tmp_path / "graph"

@@ -24,7 +24,6 @@ from graphspectra import (
     gen_complete,
     gen_graph_c,
     gen_star,
-    is_d_regular,
     load_edge_list,
     load_graph,
     load_pajek,
@@ -65,6 +64,18 @@ class TestGraphInvariants:
         w = np.array([[0.0, 2.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Graph(n=2, weights=w)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph(-1, np.zeros((0, 0))), "vertex count must be non-negative"),
+        (lambda: Graph.from_edges(-1, [], []), "vertex count must be non-negative"),
+        (lambda: Graph(2, np.zeros((3, 3))), "weights must be 2x2, got (3, 3)"),
+        (lambda: Graph(2, np.zeros((2, 2)), index_base=2), "index_base must be 0 or 1"),
+        (lambda: Graph.from_edges(2, [], [], index_base=2), "index_base must be 0 or 1"),
+    ], ids=["n", "from_edges-n", "shape", "index_base", "from_edges-index_base"])
+    def test_rejects_bad_arguments(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
     def test_weights_are_read_only(self):
         g = gen_complete(3)
@@ -166,6 +177,11 @@ class TestLoadPajek:
     def test_non_numeric_token(self):
         with pytest.raises(GraphFormatError, match="non-numeric"):
             load_pajek("*Vertices 2\n*Edges\n1 two\n")
+
+    def test_comment_only_file_has_no_vertices_header(self):
+        with pytest.raises(GraphFormatError) as excinfo:
+            load_pajek("% only a comment\n")
+        assert str(excinfo.value) == "missing *Vertices header"
 
     def test_vertex_label_lines_ignored(self):
         g = load_pajek('*Vertices 2\n1 "a"\n2 "b"\n*Edges\n1 2\n')
@@ -307,7 +323,8 @@ class TestGenerators:
             gen_star(1)
 
     def test_complete18_regular(self):
-        assert is_d_regular(gen_complete(18)) == 17.0
+        ds = degree_summary(gen_complete(18))
+        assert ds.d_min == ds.d_max == 17.0
 
     def test_complete2_single_edge(self):
         g = gen_complete(2)
@@ -332,7 +349,8 @@ class TestGenerators:
         g = gen_graph_c(2)
         assert g.n == 20
         assert connected_components(g).component_count == 10
-        assert is_d_regular(g) == 1.0
+        ds = degree_summary(g)
+        assert ds.d_min == ds.d_max == 1.0
 
     def test_graph_c_rejects_k1(self):
         with pytest.raises(ValueError):
@@ -365,25 +383,6 @@ class TestGenerators:
 
 
 class TestRegularityAndClass:
-    def test_k3(self):
-        assert is_d_regular(gen_complete(3)) == 2.0
-
-    def test_p3_not_regular(self):
-        assert is_d_regular(path3()) is None
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-6, 0.5])
-    def test_regularity_is_relative_to_the_degrees(self, scale):
-        """An absolute tolerance of 1e-12 would call a path weighted 1e-13 regular;
-        circulants whose degrees differ only by rounding are regular at any scale."""
-        assert is_d_regular(Graph.from_edges(3, [(0, 1), (1, 2)], [1e-13 * scale] * 2)) is None
-        rng = np.random.default_rng(2017)
-        for n in (12, 60, 200):
-            offsets, weights = range(1, 6), rng.uniform(0.1, 1.0, size=5) * scale
-            edges = [sorted((v, (v + s) % n)) for s in offsets for v in range(n)]
-            g = Graph.from_edges(n, edges, np.repeat(weights, n))
-            assert degree_summary(g).d_min < degree_summary(g).d_max  # rounding differs
-            assert is_d_regular(g) == degree_summary(g).d_min
-
     def test_class_tag_of_graph_c(self):
         for k in range(3, 19):
             tag = class_tag(degree_summary(gen_graph_c(k)))

@@ -6,7 +6,6 @@ Ground truth, all derivable by hand:
 - star on n nodes: A -> {sqrt(n-1), 0 x (n-2), -sqrt(n-1)},
   L -> {0, 1 x (n-2), n}, L_rw -> {0, 1 x (n-2), 2}
 - disjoint unions: spectrum is the multiset union of component spectra
-- d-regular graphs: lambda = d - mu, eta = lambda/d exactly
 """
 
 import numpy as np
@@ -24,7 +23,6 @@ from graphspectra import (
     gen_complete,
     gen_graph_c,
     gen_star,
-    is_d_regular,
     load_edge_list,
     normalized_eigengaps,
     spectral_support,
@@ -223,6 +221,10 @@ class TestSpectralSupport:
         assert spectral_support(LRW, 5.0) == (0.0, 2.0)
         assert spectral_support(LRW, 100.0) == (0.0, 2.0)
 
+    def test_negative_d_max_rejected(self):
+        with pytest.raises(ValueError, match="^d_max must be non-negative$"):
+            spectral_support(A, -1.0)
+
 
 class TestNormalizedEigengaps:
     def test_graph_c18_adjacency_first_gap(self, graph_c18):
@@ -260,17 +262,6 @@ class TestSpectralProperties:
                         spectrum(a, kind).values, spectrum(b, kind).values]))
                     union = np.sort(spectrum(u, kind).values)
                     np.testing.assert_allclose(union, merged, atol=1e-8)
-
-    def test_d_regular_exact_relations(self):
-        for g in (gen_complete(2), gen_complete(3), gen_complete(18), gen_graph_c(2)):
-            d = is_d_regular(g)
-            assert d is not None
-            mu = spectrum(g, A).values
-            lam = spectrum(g, L).values
-            eta = spectrum(g, LRW).values
-            assert np.abs(lam - (d - mu)).max() <= 1e-8
-            assert np.abs(eta - lam / d).max() <= 1e-8
-            assert np.abs(eta - (1 - mu / d)).max() <= 1e-8
 
     def test_zero_laplacian_eigenvalues_count_components(self):
         rng = np.random.default_rng(5)
