@@ -66,8 +66,8 @@ def _json_float(x: float):
     return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))
+def _print_json(payload: dict, output: Optional[str] = None) -> None:
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", output)
 
 
 def _round2(x, strip: bool) -> str:
@@ -158,7 +158,7 @@ def _cmd_spectra(args) -> int:
             "support": [spec.support[0], spec.support[1]],
             "support_length": spec.support_length,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _print_json(payload, args.output)
     else:
         rows = ["index,value"]
         rows += [f"{i},{_csv_float(v)}" for i, v in enumerate(spec.values, start=1)]
@@ -503,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    sub.add_argument("--truth", default=None, help="ground-truth labels (vertex_id label per line)")
+    sub.add_argument("--truth", default=None,
+                     help="ground-truth labels ('vertex_id label' lines, ids as in the graph file)")
     sub.set_defaults(func=_cmd_cluster)
 
     sub = commands.add_parser("crossover", help="detect maximal crossovers of a pair's differences")

@@ -54,18 +54,13 @@ class ClusterComparison:
 def spectral_embed(g: Graph, kind: RepresentationKind, k: int) -> np.ndarray:
     """The n x k array whose row v embeds vertex v by the first k eigenvectors.
 
-    For the normalised Laplacian the symmetric-surrogate eigenvectors are
-    converted to true random-walk eigenvectors via D^{-1/2}; rows are not
-    normalised.
+    The columns are the first k of :func:`eigensystem`, random-walk
+    eigenvectors for the normalised Laplacian; rows are not normalised.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in 1..{g.n}, got {k}")
     _, vectors = eigensystem(g, kind)
-    points = vectors[:, :k]
-    if kind is RepresentationKind.NORMALIZED_LAPLACIAN:
-        inv_sqrt = 1.0 / np.sqrt(g.degrees)
-        points = points * inv_sqrt[:, None]
-    return points
+    return vectors[:, :k]
 
 
 class _Points:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusteringResult
-from .graphs import Graph, load_pajek, parse_number
+from .graphs import Graph, _parse_endpoint, load_pajek, parse_number
 
 
 def karate_net_path() -> Path:
@@ -26,18 +26,11 @@ def karate_graph() -> Graph:
     return load_pajek(karate_net_path().read_text())
 
 
-def _parse_truth_int(token: str, what: str, lineno: int) -> int:
-    try:
-        return parse_number(int, token)
-    except ValueError:
-        raise ValueError(f"truth file line {lineno}: non-numeric {what} {token!r}") from None
-
-
 def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResult:
-    """Parse a ground-truth label file: one ``vertex_id label`` pair per line, 1-based.
+    """Parse a ground-truth label file: one ``vertex_id label`` pair per line.
 
-    ``index_base`` sets the numbering used when the result is compared
-    against a clustering (it does not change how the file is read).
+    Vertex ids are numbered from ``index_base``, the graph's own numbering,
+    in the file and in its error messages.
     """
     labels = np.full(n, -1, dtype=int)
     top = int(np.iinfo(labels.dtype).max)
@@ -46,21 +39,23 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
         if not line:
             continue
         tokens = line.split()
+        where = f"truth file line {lineno}"
         if len(tokens) != 2:
-            raise ValueError(f"truth file line {lineno}: expected 'vertex_id label'")
-        vid = _parse_truth_int(tokens[0], "vertex id", lineno)
-        label = _parse_truth_int(tokens[1], "label", lineno)
-        if not 1 <= vid <= n:
-            raise ValueError(f"truth file line {lineno}: vertex id {vid} out of range")
+            raise ValueError(f"{where}: expected 'vertex_id label'")
+        v = _parse_endpoint(tokens[0], n, index_base, where)
+        try:
+            label = parse_number(int, tokens[1])
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric label {tokens[1]!r}") from None
         if label < 0:
-            raise ValueError(f"truth file line {lineno}: labels must be non-negative")
+            raise ValueError(f"{where}: labels must be non-negative")
         if label > top:
-            raise ValueError(f"truth file line {lineno}: label {label} exceeds {top}")
-        if labels[vid - 1] >= 0:
-            raise ValueError(f"truth file line {lineno}: duplicate vertex id {vid}")
-        labels[vid - 1] = label
+            raise ValueError(f"{where}: label {label} exceeds {top}")
+        if labels[v] >= 0:
+            raise ValueError(f"{where}: duplicate vertex id {v + index_base}")
+        labels[v] = label
     if np.any(labels < 0):
-        missing = int(np.flatnonzero(labels < 0)[0]) + 1
+        missing = int(np.flatnonzero(labels < 0)[0]) + index_base
         raise ValueError(f"truth file is missing a label for vertex {missing}")
     k = int(labels.max()) + 1
     return ClusteringResult(

@@ -1,8 +1,8 @@
 """Undirected weighted graphs: construction, file ingestion and generators.
 
 Vertices are always 0..n-1 internally; ``Graph.index_base`` records the
-numbering convention of the source (0- or 1-based) and is used only when
-vertex ids are reported back to the user.
+numbering convention of the source (0- or 1-based) and is used only where
+vertex ids meet the user: in reports and in a ground-truth label file.
 
 The loaders, the degree extremes, the components and the degree-extreme
 class and region run in plain Python, so the commands that need only
@@ -268,27 +268,37 @@ def parse_number(convert, token: str):
     return convert(token)
 
 
-def _parse_endpoint(token: str, n: int, base: int, lineno: int) -> int:
+def _parse_endpoint(token: str, n: int, base: int, where: str) -> int:
+    """The 0-based vertex of the id ``token``, numbered from ``base``; errors begin ``where``."""
     try:
         raw = parse_number(int, token)
     except ValueError:
-        raise GraphFormatError(f"line {lineno}: non-numeric vertex id {token!r}") from None
+        raise GraphFormatError(f"{where}: non-numeric vertex id {token!r}") from None
     v = raw - base
     if not 0 <= v < n:
-        raise GraphFormatError(f"line {lineno}: vertex id {raw} out of range")
+        raise GraphFormatError(f"{where}: vertex id {raw} out of range")
     return v
 
 
-def _parse_weight(token: Optional[str], lineno: int) -> float:
-    if token is None:
-        return 1.0
+def _parse_edge(tokens: list[str], line: str, what: str, n: int, base: int,
+                lineno: int) -> tuple[int, int, float]:
+    """The 0-based ends and the weight (1 if left out) of a ``u v [w]`` line of kind ``what``."""
+    if len(tokens) not in (2, 3):
+        raise GraphFormatError(f"line {lineno}: malformed {what} line {line!r}")
+    where = f"line {lineno}"
+    u = _parse_endpoint(tokens[0], n, base, where)
+    v = _parse_endpoint(tokens[1], n, base, where)
+    if u == v:
+        raise GraphFormatError(f"{where}: self-loop on vertex {tokens[0]}")
+    if len(tokens) == 2:
+        return u, v, 1.0
     try:
-        weight = parse_number(float, token)
+        weight = parse_number(float, tokens[2])
     except ValueError:
-        raise GraphFormatError(f"line {lineno}: non-numeric weight {token!r}") from None
+        raise GraphFormatError(f"{where}: non-numeric weight {tokens[2]!r}") from None
     if not weight > 0.0 or not math.isfinite(weight):
-        raise GraphFormatError(f"line {lineno}: edge weight must be positive and finite")
-    return weight
+        raise GraphFormatError(f"{where}: edge weight must be positive and finite")
+    return u, v, weight
 
 
 def load_edge_list(text: str) -> Graph:
@@ -324,16 +334,11 @@ def load_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
             _check_vertex_count(n, lineno)
             continue
-        if len(tokens) not in (2, 3):
-            raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
-        u = _parse_endpoint(tokens[0], n, base, lineno)
-        v = _parse_endpoint(tokens[1], n, base, lineno)
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop on vertex {tokens[0]}")
-        key = (min(u, v), max(u, v))
+        u, v, weight = _parse_edge(tokens, line, "edge", n, base, lineno)
+        key = (u, v) if u < v else (v, u)
         if key in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge {tokens[0]} {tokens[1]}")
-        edges[key] = _parse_weight(tokens[2] if len(tokens) == 3 else None, lineno)
+        edges[key] = weight
     if n is None:
         raise GraphFormatError("missing 'nodes N' header")
     return _graph_from_edges(n, edges, index_base=base)
@@ -383,15 +388,9 @@ def load_pajek(text: str) -> Graph:
         if section not in ("edges", "arcs"):
             raise GraphFormatError(f"line {lineno}: data before any *Edges/*Arcs section")
         tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise GraphFormatError(f"line {lineno}: malformed {section} line {line!r}")
-        u = _parse_endpoint(tokens[0], n, 1, lineno)
-        v = _parse_endpoint(tokens[1], n, 1, lineno)
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop on vertex {tokens[0]}")
-        weight = _parse_weight(tokens[2] if len(tokens) == 3 else None, lineno)
+        u, v, weight = _parse_edge(tokens, line, section, n, 1, lineno)
         if section == "edges":
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise GraphFormatError(f"line {lineno}: duplicate edge {tokens[0]} {tokens[1]}")
             edges[key] = weight
@@ -402,7 +401,7 @@ def load_pajek(text: str) -> Graph:
     if n is None:
         raise GraphFormatError("missing *Vertices header")
     for (u, v), weight in arcs.items():
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in edges and edges[key] != weight:
             raise GraphFormatError(f"conflicting weights for edge {u + 1} {v + 1}")
         edges[key] = weight
@@ -412,10 +411,12 @@ def load_pajek(text: str) -> Graph:
 def load_graph(text: str) -> Graph:
     """Parse a graph file: Pajek if its first line starts with '*', else an edge list.
 
-    Blank lines and lines that start with '%' or '#' are skipped. A valid
-    Pajek file opens with ``*Vertices`` and a valid edge list with
-    ``nodes``, so no valid file goes to the wrong parser.
+    A leading byte-order mark is dropped. Blank lines and lines that start
+    with '%' or '#' are skipped. A valid Pajek file opens with
+    ``*Vertices`` and a valid edge list with ``nodes``, so no valid file
+    goes to the wrong parser.
     """
+    text = text.removeprefix("\ufeff")
     lines = (line.strip() for line in text.splitlines())
     first = next((line for line in lines if line[:1] not in ("", "%", "#")), "")
     return load_pajek(text) if first.startswith("*") else load_edge_list(text)

@@ -4,8 +4,8 @@ The three representation matrices of a graph are the adjacency matrix,
 the unnormalised Laplacian D - A, and the random-walk normalised
 Laplacian D^{-1}(D - A). The last shares its eigenvalues with the
 symmetric form D^{-1/2}(D - A)D^{-1/2}, which is what we actually
-decompose; everything downstream works on eigenvalues, and clustering
-recovers the random-walk eigenvectors from the symmetric ones.
+decompose; :func:`eigensystem` recovers the random-walk eigenvectors
+from the symmetric ones.
 
 Eigendecomposition uses LAPACK ``eigh`` on the exactly symmetric matrix;
 every result is checked for residual and orthonormality before use.
@@ -131,13 +131,16 @@ def spectral_support(kind: RepresentationKind, d_max: float) -> tuple[float, flo
 def eigensystem(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarray]:
     """Spectrum in convention order plus the matching eigenvector columns.
 
-    For the normalised Laplacian the vectors are those of the symmetric
-    surrogate; multiply by D^{-1/2} to obtain random-walk eigenvectors.
+    For the normalised Laplacian the columns are random-walk eigenvectors:
+    the symmetric surrogate's orthonormal vectors times D^{-1/2}, not
+    normalised.
     """
     values, vectors = eig_sym(build_matrix(g, kind), label=f"{kind.value} matrix (n={g.n})")
     if kind is RepresentationKind.ADJACENCY:
         order = np.argsort(-values, kind="stable")
         values, vectors = values[order], vectors[:, order]
+    elif kind is RepresentationKind.NORMALIZED_LAPLACIAN:
+        vectors = vectors * (1.0 / np.sqrt(g.degrees))[:, None]
     lo, hi = spectral_support(kind, degree_summary(g).d_max)
     if len(values) and (values.min() < lo - 1e-9 or values.max() > hi + 1e-9):
         raise EigensolverError(
@@ -175,10 +178,7 @@ def normalized_eigengaps(s: Spectrum) -> np.ndarray:
 def _eigengaps(s: Spectrum) -> np.ndarray:
     if s.n < 2:
         raise ValueError("eigengaps need at least two eigenvalues")
-    if s.kind is RepresentationKind.ADJACENCY:
-        gaps = s.values[:-1] - s.values[1:]
-    else:
-        gaps = s.values[1:] - s.values[:-1]
+    gaps = np.abs(np.diff(s.values))  # sorted, up or down: |diff| is each gap
     if s.support_length == 0.0:
         return np.zeros_like(gaps)
     return gaps / s.support_length

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, round trips."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -135,6 +136,14 @@ class TestFileFormat:
             copy = tmp_path / f"{name}{suffix}"
             copy.write_text(sources[name].read_text())
             assert run(capsys, command, str(copy)) == (0, expected, "")
+
+    @pytest.mark.parametrize("name", ["karate", "c4w"])
+    def test_leading_byte_order_mark_is_ignored(self, capsys, tmp_path, sources, name):
+        code, expected, _ = run(capsys, "info", str(sources[name]))
+        assert code == 0
+        copy = tmp_path / "bom.txt"
+        copy.write_bytes(b"\xef\xbb\xbf" + sources[name].read_bytes())
+        assert run(capsys, "info", str(copy)) == (0, expected, "")
 
     @pytest.mark.parametrize("argv", [
         ["info", KARATE], ["spectra", KARATE, "--kind", "A"], ["bounds", KARATE],
@@ -354,6 +363,17 @@ class TestCluster:
         assert out["comparison"]["misplaced"] == 1
         assert out["comparison"]["misplaced_ids"] == [3]
 
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_truth_ids_are_numbered_as_in_the_graph(self, capsys, tmp_path, base):
+        graph_file, truth_file = tmp_path / "graph.txt", tmp_path / "truth.txt"
+        graph_file.write_text(f"nodes 4 base {base}\n{base} {base + 1}\n{base + 2} {base + 3}\n")
+        labels = [0, 0, 1, 0]  # against the clusters {0, 1} and {2, 3}, vertex 3 is misplaced
+        truth_file.write_text("".join(f"{v + base} {label}\n" for v, label in enumerate(labels)))
+        out = run_json(capsys, "cluster", str(graph_file), "--kind", "L", "--k", "2",
+                       "--truth", str(truth_file))
+        assert out["vertex_ids"] == [base, base + 1, base + 2, base + 3]
+        assert out["comparison"] == {"misplaced": 1, "misplaced_ids": [base + 3]}
+
     def test_negative_seed_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "cluster", KARATE, "--kind", "A", "--k", "2", "--seed", "-1")
         assert (code, out) == (1, "")
@@ -405,6 +425,21 @@ class TestReadme:
         subcommands = next(action for action in cli.build_parser()._actions
                            if isinstance(action, argparse._SubParsersAction))
         assert listed == list(subcommands.choices)
+
+
+class TestSource:
+    def test_every_imported_name_is_used(self):
+        """Each name a package module imports, __future__ aside, occurs in it as a Name."""
+        for path in sorted(Path(graphspectra.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported |= {alias.asname or alias.name for alias in node.names}
+            assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
 class TestImportCost:
@@ -755,7 +790,9 @@ class TestExitCodes:
         assert "self-loop" in err
 
     # A 4-vertex graph of two edges (1-based); clustering it at k = 2 reaches the truth file.
+    # A row whose truth is a (graph, truth) pair reads it against that graph instead.
     TRUTH_GRAPH = "nodes 4 base 1\n1 2\n3 4\n"
+    BASE0_GRAPH = "nodes 4\n0 1\n2 3\n"
 
     @pytest.mark.parametrize("truth, message", [
         ("1 0 7\n", "truth file line 1: expected 'vertex_id label'"),
@@ -765,10 +802,15 @@ class TestExitCodes:
         ("1 0\n2 0\n4 1\n", "truth file is missing a label for vertex 3"),
         ("1 0\n2 1_0\n", "truth file line 2: non-numeric label '1_0'"),
         ("\uff11 0\n", "truth file line 1: non-numeric vertex id '\uff11'"),
+        # Ids are numbered as in the graph file, in the file and in the messages.
+        ((BASE0_GRAPH, "0 0\n4 1\n"), "truth file line 2: vertex id 4 out of range"),
+        ((BASE0_GRAPH, "0 0\n0 1\n"), "truth file line 2: duplicate vertex id 0"),
+        ((BASE0_GRAPH, "1 0\n2 1\n3 1\n"), "truth file is missing a label for vertex 0"),
     ])
     def test_bad_truth_file_is_one_error_line(self, capsys, tmp_path, truth, message):
+        graph, truth = truth if isinstance(truth, tuple) else (self.TRUTH_GRAPH, truth)
         graph_file, truth_file = tmp_path / "graph.txt", tmp_path / "truth.txt"
-        graph_file.write_text(self.TRUTH_GRAPH)
+        graph_file.write_text(graph)
         truth_file.write_text(truth)
         code, out, err = run(capsys, "cluster", str(graph_file), "--kind", "L", "--k", "2",
                              "--truth", str(truth_file))
@@ -820,6 +862,8 @@ class TestExitCodes:
         ("*Vertices 1_0\n", "line 1: non-numeric vertex count"),
         ("*Vertices 3\n*Edges\n1 \uff12\n", "line 3: non-numeric vertex id '\uff12'"),
         ("nodes 2\n-1 1\n", "line 2: vertex id -1 out of range"),
+        # Both loaders check a line's weight before asking whether its edge repeats.
+        ("nodes 2\n0 1\n0 1 abc\n", "line 3: non-numeric weight 'abc'"),
     ])
     def test_malformed_graph_file_is_one_error_line(self, capsys, tmp_path, text, message):
         graph_file = tmp_path / "graph"

@@ -598,6 +598,79 @@ class TestEdgeListCore:
         assert g.degrees.tolist() == [1.5, 1.0, 0.75, 0.25]
 
 
+@st.composite
+def graph_files(draw):
+    """(text, own comment marker, n, base, {(u, v): weight}) of a valid edge list or Pajek file.
+
+    Weights include the largest double, the smallest subnormal and another
+    subnormal, so rescaling can underflow a weight to 0.
+    """
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    weight = st.one_of(st.just(1.0), st.sampled_from([1e308, 5e-324, 1e-320]),
+                       st.floats(min_value=1e-3, max_value=7.0))
+    edges = {pair: draw(weight) for pair in chosen}
+    base = draw(st.sampled_from([0, 1, "pajek"]))
+    if base == "pajek":
+        return _pajek_text(n, edges), "%", n, 1, edges
+    return _edge_list_text(n, edges, base), "#", n, base, edges
+
+
+# Mutations that keep a file valid, and those that may break it.
+HARMLESS = ("blank", "own comment")
+DAMAGING = ("other comment", "drop token", "repeat token", "swap tokens", "huge id", "repeat line")
+
+
+class TestAnyTextLoadsOrIsAFormatError:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(graph_files(), st.data())
+    def test_mutated_files(self, case, data):
+        """Every text loads or raises GraphFormatError; a valid one loads to its own edges."""
+        text, own, n, base, edges = case
+        lines = text.splitlines()
+        damaged = False
+        for mutation in data.draw(st.lists(st.sampled_from(HARMLESS + DAMAGING), max_size=3)):
+            i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            if mutation == "blank":
+                lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t"])))
+            elif mutation.endswith("comment"):
+                other = {"#": "%", "%": "#"}[own]
+                lines.insert(i, (own if mutation == "own comment" else other) + " note")
+            elif mutation == "repeat line":
+                lines.insert(i, lines[i])
+            else:  # change one token of line i
+                tokens = lines[i].split()
+                j = data.draw(st.integers(min_value=0, max_value=max(len(tokens) - 1, 0)))
+                if mutation == "huge id":
+                    tokens.insert(j, data.draw(st.sampled_from([str(2**63), "9" * 30, f"-{2**64}"])))
+                elif tokens and mutation == "drop token":
+                    del tokens[j]
+                elif tokens and mutation == "repeat token":
+                    tokens.insert(j, tokens[j])
+                elif tokens:  # swap tokens
+                    tokens[j], tokens[-1] = tokens[-1], tokens[j]
+                lines[i] = " ".join(tokens)
+            damaged = damaged or mutation in DAMAGING
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join(lines) + data.draw(st.sampled_from([newline, ""]))
+        if data.draw(st.booleans()):
+            text = "\ufeff" + text
+
+        top = max(edges.values(), default=1.0)
+        weights = {pair: w / top if top > 1.0 else w for pair, w in edges.items()}
+        try:
+            g = load_graph(text)
+        except GraphFormatError as exc:
+            assert damaged or "underflows" in str(exc), str(exc)
+            return
+        if not damaged:
+            assert all(w > 0.0 for w in weights.values())
+            assert (g.n, g.index_base) == (n, base)
+            assert g.edges.tolist() == [list(pair) for pair in sorted(weights)]
+            assert g.edge_weights.tolist() == [weights[pair] for pair in sorted(weights)]
+
+
 class TestSizeGuard:
     """A declared n whose dense n x n matrix exceeds physical memory is a format error."""
 

@@ -192,6 +192,14 @@ class TestSpectrum:
             vals = spectrum(karate, kind).values
             assert np.all(vals[:-1] <= vals[1:]), f"{kind} values must be ascending"
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_eigensystem_vectors_are_the_kinds_own(self, karate, kind):
+        """Column i solves M v = lambda_i v for the kind's own M: D^{-1}(D - A) for Lrw."""
+        spec, vectors = spectra.eigensystem(karate, kind)
+        lap = np.diag(karate.degrees) - karate.weights
+        m = {A: karate.weights, L: lap, LRW: lap / karate.degrees[:, None]}[kind]
+        assert np.abs(m @ vectors - vectors * spec.values).max() < 1e-10
+
     def test_memoised_on_the_graph_and_read_only(self):
         g = path3()
         for kind in ALL_KINDS:
