@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional
 from .graphs import (
     DegreeSummary,
     Graph,
+    _write_edge_list,
     class_tag,
     classify_region,
     connected_components,
@@ -49,7 +50,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Handlers import the numerical layers (and so numpy) when they run:
-# info and region need only the degrees, and load neither.
+# info, region and gen need only degrees or edges, and load neither.
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -122,15 +123,6 @@ def _cmd_info(args) -> int:
         pass
     _print_json(out)
     return 0
-
-
-def _write_edge_list(g: Graph) -> str:
-    base = g.index_base
-    lines = [f"nodes {g.n} base {base}"]
-    for (u, v), w in zip(g.edges.tolist(), g.edge_weights.tolist()):
-        suffix = "" if w == 1.0 else f" {_csv_float(w)}"
-        lines.append(f"{u + base} {v + base}{suffix}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_gen(args) -> int:

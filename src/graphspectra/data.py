@@ -30,11 +30,12 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
     """Parse a ground-truth label file: one ``vertex_id label`` pair per line.
 
     Vertex ids are numbered from ``index_base``, the graph's own numbering,
-    in the file and in its error messages.
+    in the file and in its error messages. A leading byte-order mark is
+    dropped. Every error is a plain ``ValueError``.
     """
     labels = np.full(n, -1, dtype=int)
     top = int(np.iinfo(labels.dtype).max)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -42,7 +43,10 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
         where = f"truth file line {lineno}"
         if len(tokens) != 2:
             raise ValueError(f"{where}: expected 'vertex_id label'")
-        v = _parse_endpoint(tokens[0], n, index_base, where)
+        try:
+            v = _parse_endpoint(tokens[0], n, index_base, where)
+        except ValueError as exc:  # a GraphFormatError: this is no graph file
+            raise ValueError(str(exc)) from None
         try:
             label = parse_number(int, tokens[1])
         except ValueError:

@@ -4,10 +4,10 @@ Vertices are always 0..n-1 internally; ``Graph.index_base`` records the
 numbering convention of the source (0- or 1-based) and is used only where
 vertex ids meet the user: in reports and in a ground-truth label file.
 
-The loaders, the degree extremes, the components and the degree-extreme
-class and region run in plain Python, so the commands that need only
-them (``info``, ``region``) never import numpy; numpy is imported where
-an array is first built.
+The loaders, generators and edge-list writer, the degree extremes, the
+components and the degree-extreme class and region run in plain Python,
+so the commands that need only them (``info``, ``region``, ``gen``) never
+import numpy; numpy is imported where an array is first built.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -44,12 +45,12 @@ class Graph:
     :meth:`from_edges` takes the edge arrays directly and never builds the
     n x n ``weights`` matrix, which is then assembled on first access.
 
-    The loaders build a graph from Python lists and sum its degrees in
-    Python, in the order ``np.bincount`` sums them; ``edges``,
-    ``edge_weights``, ``degrees`` and ``weights`` are read-only arrays
-    derived on first access and kept. ``rescaled`` is set by the loaders
-    when weights above 1 were divided by the maximum weight. Instances are
-    immutable, and so are the spectra memoised on the instance.
+    A graph built from vertex pairs (loaded, generated or a disjoint union)
+    keeps Python lists and sums its degrees in Python in ``np.bincount``'s
+    order; ``edges``, ``edge_weights``, ``degrees`` and ``weights`` are
+    read-only arrays derived on first access and kept. ``rescaled`` is set by
+    the loaders when weights above 1 were divided by the maximum weight.
+    Instances are immutable, and so are the spectra memoised on the instance.
     """
 
     n: int
@@ -63,8 +64,7 @@ class Graph:
     # RepresentationKind -> Spectrum, filled by spectra.spectrum.
     _spectra: dict = field(repr=False)
 
-    def __init__(self, n: int, weights: np.ndarray, index_base: int = 0,
-                 rescaled: bool = False) -> None:
+    def __init__(self, n: int, weights: np.ndarray, index_base: int = 0) -> None:
         import numpy as np
 
         w = np.array(weights, dtype=float)
@@ -83,13 +83,12 @@ class Graph:
         u, v = np.nonzero(w)
         upper = u < v
         u, v = u[upper], v[upper]
-        self._setup(n, np.stack([u, v], axis=1), w[u, v], index_base, rescaled)
+        self._setup(n, np.stack([u, v], axis=1), w[u, v], index_base)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)  # the cached property's value
 
     @classmethod
-    def from_edges(cls, n: int, edges, edge_weights, index_base: int = 0,
-                   rescaled: bool = False) -> Graph:
+    def from_edges(cls, n: int, edges, edge_weights, index_base: int = 0) -> Graph:
         """Graph from an m x 2 array of vertex pairs u < v and their m weights.
 
         The pairs may come in any order; they are sorted. Checks cost
@@ -118,10 +117,10 @@ class Graph:
         if not np.all((w > 0.0) & (w <= 1.0)):
             raise ValueError("edge weights must lie in (0, 1]")
         g = cls.__new__(cls)
-        g._setup(n, e, w, index_base, rescaled)
+        g._setup(n, e, w, index_base)
         return g
 
-    def _setup(self, n, edges, edge_weights, index_base, rescaled) -> None:
+    def _setup(self, n, edges, edge_weights, index_base) -> None:
         import numpy as np
 
         # Edge rows are in lexicographic order, so each vertex sums its
@@ -132,7 +131,7 @@ class Graph:
         for a in (edges, edge_weights, degrees):
             a.setflags(write=False)
         extremes = (float(degrees.min()), float(degrees.max())) if n else (0.0, 0.0)
-        self._bind(n, edges, edge_weights, degrees, *extremes, index_base, rescaled)
+        self._bind(n, edges, edge_weights, degrees, *extremes, index_base, False)
 
     def _bind(self, n, edges, edge_weights, degrees, d_min, d_max, index_base, rescaled) -> None:
         if index_base not in (0, 1):
@@ -158,9 +157,11 @@ class Graph:
         """The n weighted degrees, read-only."""
         return _read_only(self._degrees, "float64", (-1,))
 
-    def _pairs(self) -> list:
-        """The edge pairs as a list of Python pairs (u, v), in the order of ``edges``."""
-        return self._edges if isinstance(self._edges, list) else self._edges.tolist()
+    def _lists(self) -> tuple[list, list]:
+        """The edge pairs (u, v) and their weights as Python lists, in the order of ``edges``."""
+        if isinstance(self._edges, list):
+            return self._edges, self._edge_weights
+        return self._edges.tolist(), self._edge_weights.tolist()
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -222,7 +223,7 @@ class ClassTag:
 
 
 def _graph_from_edges(n: int, edges: dict[tuple[int, int], float], index_base: int) -> Graph:
-    """A loader's graph from its edges {(u, v): weight} with u < v, in Python lists."""
+    """The graph of the edges {(u, v): weight} with u < v, built in Python lists."""
     max_weight = max(edges.values(), default=1.0)
     rescaled = max_weight > 1.0
     pairs = sorted(edges)
@@ -344,6 +345,16 @@ def load_edge_list(text: str) -> Graph:
     return _graph_from_edges(n, edges, index_base=base)
 
 
+def _write_edge_list(g: Graph) -> str:
+    """The text of ``g`` in the edge-list format that :func:`load_edge_list` reads."""
+    base = g.index_base
+    lines = [f"nodes {g.n} base {base}"]
+    for (u, v), w in zip(*g._lists()):
+        suffix = "" if w == 1.0 else f" {w:.17g}"
+        lines.append(f"{u + base} {v + base}{suffix}")
+    return "\n".join(lines) + "\n"
+
+
 def load_pajek(text: str) -> Graph:
     """Parse ``text``, a whole file in the Pajek subset of .net network files.
 
@@ -438,7 +449,7 @@ def connected_components(g: Graph) -> ComponentLabeling:
     adjacency lists built from the edge list, in O(n + m).
     """
     neighbours: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g._pairs():
+    for u, v in g._lists()[0]:
         neighbours[u].append(v)
         neighbours[v].append(u)
     labels = [-1] * g.n
@@ -459,28 +470,16 @@ def connected_components(g: Graph) -> ComponentLabeling:
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Block-diagonal union of two graphs; no cross edges."""
-    import numpy as np
-
-    return Graph.from_edges(
-        a.n + b.n,
-        np.concatenate([a.edges, b.edges + a.n]),
-        np.concatenate([a.edge_weights, b.edge_weights]),
-        index_base=a.index_base,
-        rescaled=a.rescaled or b.rescaled,
-    )
+    edges: dict[tuple[int, int], float] = {}
+    for g, shift in ((a, 0), (b, a.n)):
+        pairs, weights = g._lists()
+        edges.update(((u + shift, v + shift), w) for (u, v), w in zip(pairs, weights))
+    return _graph_from_edges(a.n + b.n, edges, index_base=a.index_base)
 
 
-def _unweighted(n: int, edges) -> Graph:
+def _unweighted(n: int, pairs) -> Graph:
     """A 1-based generated graph with unit weights on the given pairs u < v."""
-    import numpy as np
-
-    return Graph.from_edges(n, edges, np.ones(len(edges)), index_base=1)
-
-
-def _complete_edges(k: int) -> np.ndarray:
-    import numpy as np
-
-    return np.stack(np.triu_indices(k, 1), axis=1)
+    return _graph_from_edges(n, dict.fromkeys(pairs, 1.0), index_base=1)
 
 
 def gen_star(n: int) -> Graph:
@@ -496,7 +495,7 @@ def gen_complete(k: int) -> Graph:
     if k < 1:
         raise ValueError("complete graph needs at least 1 vertex")
     _check_vertex_count(k)
-    return _unweighted(k, _complete_edges(k))
+    return _unweighted(k, combinations(range(k), 2))
 
 
 def gen_graph_c(k: int) -> Graph:
@@ -509,10 +508,8 @@ def gen_graph_c(k: int) -> Graph:
     if k < 2:
         raise ValueError("complete component needs at least 2 vertices")
     _check_vertex_count(k + 18)
-    import numpy as np
-
-    pairs = np.arange(k, k + 18).reshape(9, 2)
-    return _unweighted(k + 18, np.concatenate([_complete_edges(k), pairs]))
+    pairs = [(v, v + 1) for v in range(k, k + 18, 2)]
+    return _unweighted(k + 18, [*combinations(range(k), 2), *pairs])
 
 
 def gen_bipartite_b() -> Graph:

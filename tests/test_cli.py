@@ -18,7 +18,8 @@ import pytest
 import graphspectra
 from graphspectra import cli, load_edge_list
 from graphspectra.cli import main
-from graphspectra.data import karate_factions_path, karate_net_path
+from graphspectra.data import karate_factions_path, karate_net_path, load_truth_labels
+from graphspectra.graphs import _write_edge_list
 
 KARATE = str(karate_net_path())
 
@@ -113,7 +114,7 @@ class TestFileFormat:
     def sources(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("sources")
         texts = {
-            "c18": cli._write_edge_list(graphspectra.gen_graph_c(18)),
+            "c18": _write_edge_list(graphspectra.gen_graph_c(18)),
             "c4w": "nodes 4\n0 1 0.5\n1 2 1\n2 3 0.25\n3 0 0.75\n",
             "isolated": "nodes 3\n0 1\n",
         }
@@ -374,6 +375,23 @@ class TestCluster:
         assert out["vertex_ids"] == [base, base + 1, base + 2, base + 3]
         assert out["comparison"] == {"misplaced": 1, "misplaced_ids": [base + 3]}
 
+    def test_truth_file_with_byte_order_mark(self, capsys, tmp_path):
+        truth_file = tmp_path / "truth.txt"
+        truth_file.write_bytes(b"\xef\xbb\xbf" + karate_factions_path().read_bytes())
+        golden = Path(__file__).parent / "golden" / "cluster_truth_A_2_karate.out"
+        assert run(capsys, "cluster", KARATE, "--kind", "A", "--k", "2",
+                   "--truth", str(truth_file)) == (0, golden.read_text(), "")
+
+    @pytest.mark.parametrize("truth, message", [
+        ("x 0\n", "truth file line 1: non-numeric vertex id 'x'"),
+        ("9 0\n", "truth file line 1: vertex id 9 out of range"),
+    ])
+    def test_bad_truth_vertex_id_is_a_plain_value_error(self, truth, message):
+        """A truth file is no graph file, so none of its errors is a GraphFormatError."""
+        with pytest.raises(ValueError) as info:
+            load_truth_labels(truth, 4)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
     def test_negative_seed_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "cluster", KARATE, "--kind", "A", "--k", "2", "--seed", "-1")
         assert (code, out) == (1, "")
@@ -532,7 +550,7 @@ class TestPrecheckEdgeCases:
 
 
 class TestNoNumpyForThePrecheck:
-    """info and region need only degrees and components, so they never import numpy."""
+    """info, region and gen need only degrees, components or edges: they never import numpy."""
 
     @pytest.fixture(scope="class")
     def commands(self, tmp_path_factory):
@@ -543,7 +561,9 @@ class TestNoNumpyForThePrecheck:
         pajek.write_text("*Vertices 4\n*Arcs\n2 1 2\n2 3 2\n*Edges\n3 4 2\n")
         files = [str(edge_list), str(pajek), KARATE]
         return ([[command, f] for command in ("info", "region") for f in files]
-                + [["region", "--dmin", "2", "--dmax", "5"]])
+                + [["region", "--dmin", "2", "--dmax", "5"]]
+                + [["gen", "star", "5"], ["gen", "complete", "4"], ["gen", "graphc", "3"],
+                   ["gen", "bipartiteb"], ["gen", "graphc", "18", "-o", str(tmp / "c18.txt")]])
 
     @staticmethod
     def python(*args) -> subprocess.CompletedProcess:

@@ -1,8 +1,12 @@
 """Golden CLI outputs: a fixed set of commands must print byte-identical stdout.
 
 The goldens under ``tests/golden/`` were recorded with the package's own
-CLI on karate, C(18), a rescaled weighted C4 and a graph with an isolated
-vertex, plus the ``gen`` generators. The ``cluster`` goldens cover karate
+CLI on karate, C(18), a rescaled weighted C4, a 6-cycle and a graph with an
+isolated vertex, plus the ``gen`` generators and ``sweep`` over C(3)..C(6).
+``spectra`` is pinned on karate for every kind (CSV, and JSON for ``Lrw``).
+The ``polymap`` goldens on the weighted C4 and the 6-cycle are stable maps,
+so they pin the interpolation itself; on the 6-cycle six eigenvalues merge
+into four nodes. The ``cluster`` goldens cover karate
 at k = 2 and 4 on every kind (and ``--kind A --k 2 --truth``), C(18) at
 k = 10 on every kind, ``L`` at k = 19 and ``Lrw`` at k = 27, and one run
 at ``--seed 7 --restarts 3``; each k takes whole eigenspaces, so the
@@ -17,12 +21,13 @@ Floats are printed to 17 significant digits, so the goldens hold for
 one numpy/LAPACK build; another build may differ in the last digits.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
 import pytest
 
-from graphspectra.cli import main
+from graphspectra.cli import build_parser, main
 from graphspectra.data import karate_factions_path, karate_net_path
 from graphspectra.graphs import gen_graph_c
 
@@ -33,6 +38,8 @@ GENERATED = {"star_18": ("star", "18"), "complete_5": ("complete", "5"),
              "graphc_18": ("graphc", "18"), "bipartiteb": ("bipartiteb",)}
 # Weights 2, 3, 5, 7 are rescaled by 7: non-dyadic weights, non-integer degrees.
 C4_WEIGHTED = "nodes 4\n0 1 2\n1 2 3\n2 3 5\n3 0 7\n"
+# The 6-cycle: 2-regular, each spectrum has four distinct values.
+C6 = "nodes 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 # A triangle, an edge and the isolated vertex 6 (1-based): d_min = 0.
 ISOLATED = "nodes 6 base 1\n1 2\n2 3\n3 1\n4 5\n"
 # (graph, kind, k) for the cluster goldens; no k cuts a repeated eigenvalue.
@@ -63,6 +70,13 @@ def _commands() -> dict[str, list[str]]:
         for name in ("info", "region"):
             cmds[f"{name}_{graph}"] = [name, "{" + graph + "}"]
     cmds["gaps_iso"] = ["gaps", "{iso}"]  # d_min = 0: the Lrw gap bounds and pairs are null
+    for graph in ("c4w", "c6"):  # stable maps: the interpolation runs
+        for pair in PAIRS:
+            cmds[f"polymap_{pair}_{graph}"] = ["polymap", "{" + graph + "}", "--pair", pair]
+    for kind in ("A", "L", "Lrw"):
+        cmds[f"spectra_{kind}_karate"] = ["spectra", "{karate}", "--kind", kind]
+    cmds["spectra_json_Lrw_karate"] = ["spectra", "{karate}", "--kind", "Lrw", "--format", "json"]
+    cmds["sweep_graphc_3_6"] = ["sweep", "--graphc", "3..6"]
     for name, args in GENERATED.items():
         cmds[f"gen_{name}"] = ["gen", *args]
     for graph, kind, k in CLUSTERINGS:
@@ -83,10 +97,12 @@ def _graph_files(directory: Path) -> dict[str, str]:
     main(["gen", "graphc", "18", "-o", str(c18)])
     c4w = directory / "c4w.txt"
     c4w.write_text(C4_WEIGHTED)
+    c6 = directory / "c6.txt"
+    c6.write_text(C6)
     iso = directory / "iso.txt"
     iso.write_text(ISOLATED)
-    return {"karate": str(karate_net_path()), "c18": str(c18), "c4w": str(c4w), "iso": str(iso),
-            "truth": str(karate_factions_path())}
+    return {"karate": str(karate_net_path()), "c18": str(c18), "c4w": str(c4w), "c6": str(c6),
+            "iso": str(iso), "truth": str(karate_factions_path())}
 
 
 def _argv(name: str, files: dict[str, str]) -> list[str]:
@@ -118,6 +134,12 @@ def test_every_golden_file_belongs_to_a_command():
     """No stale golden: regenerating writes a moved command's new file beside its old one."""
     expected = {f"{name}.err" if name in FAILING else f"{name}.out" for name in COMMANDS}
     assert {path.name for path in GOLDEN.iterdir()} == expected
+
+
+def test_every_subcommand_has_a_golden():
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert set(subcommands.choices) - {argv[0] for argv in COMMANDS.values()} == set()
 
 
 def _regenerate() -> None:

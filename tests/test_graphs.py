@@ -30,9 +30,8 @@ from graphspectra import (
     normalized_eigengaps,
     spectrum,
 )
-from graphspectra.cli import _write_edge_list
 from graphspectra.data import karate_net_path
-from graphspectra.graphs import ClassTag, DegreeSummary
+from graphspectra.graphs import ClassTag, DegreeSummary, _write_edge_list
 
 
 def path3():
@@ -294,6 +293,24 @@ class TestDisjointUnion:
                 da, db = degree_summary(a), degree_summary(b)
                 assert ds.d_max == max(da.d_max, db.d_max)
                 assert ds.d_min == min(da.d_min, db.d_min)
+
+    @pytest.mark.parametrize("built", [("arrays", "arrays"), ("lists", "lists"),
+                                       ("arrays", "lists")], ids=["arrays", "lists", "mixed"])
+    def test_same_bits_as_from_edges_on_the_concatenated_pairs(self, built):
+        """Random non-dyadic weights: the degree sums show any change of summation order."""
+        rng = np.random.default_rng(5)
+        graphs = []
+        for n, how in zip((7, 6), built):
+            w = np.triu(rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+            g = Graph(n, w + w.T)
+            graphs.append(g if how == "arrays" else load_edge_list(_write_edge_list(g)))
+        a, b = graphs
+        expected = Graph.from_edges(a.n + b.n, np.concatenate([a.edges, b.edges + a.n]),
+                                    np.concatenate([a.edge_weights, b.edge_weights]))
+        union = disjoint_union(a, b)
+        for name in ("edges", "edge_weights", "degrees"):
+            got, want = getattr(union, name), getattr(expected, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     def test_component_counts_add(self):
         gens = [gen_star(5), gen_complete(4), gen_graph_c(3)]
