@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from typing import TYPE_CHECKING, Optional
 from .graphs import (
     DegreeSummary,
     Graph,
+    _check_vertex_count,
     _write_edge_list,
     class_tag,
     classify_region,
@@ -51,6 +53,13 @@ if TYPE_CHECKING:
 
 # Handlers import the numerical layers (and so numpy) when they run:
 # info, region and gen need only degrees or edges, and load neither.
+
+# After each threaded call OpenBLAS's idle worker busy-waits 2**28 cycles
+# before it sleeps, about a third of the CPU time of a run on a small graph.
+# OPENBLAS_THREAD_TIMEOUT is that exponent; OpenBLAS reads it when numpy
+# loads, so main sets it only before then, and a value the user set wins.
+# 2**20 keeps the thread count and the large-graph wall time (ROADMAP).
+_OPENBLAS_SPIN_EXPONENT = "20"
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -408,7 +417,7 @@ def _cmd_plotdata(args) -> int:
 
 
 def _parse_range(spec: str) -> range:
-    match = re.fullmatch(r"(\d+)\.\.(\d+)", spec)
+    match = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", spec)
     if not match:
         raise ValueError(f"range must look like 3..18, got {spec!r}")
     lo, hi = int(match.group(1)), int(match.group(2))
@@ -423,6 +432,7 @@ def _cmd_sweep(args) -> int:
     from .spectra import normalized_eigengaps, spectrum
 
     ks = _parse_range(args.graphc)
+    _check_vertex_count(ks[-1] + 18)
     lines = ["k,kind,gap_index,value,note"]
     for k in ks:
         g = gen_graph_c(k)
@@ -531,6 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_SPIN_EXPONENT)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

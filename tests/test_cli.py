@@ -496,6 +496,53 @@ class TestImportCost:
         assert '"misplaced": 0' in proc.stdout
 
 
+# A sitecustomize module for a child interpreter: when numpy is first imported,
+# write the OPENBLAS_THREAD_TIMEOUT that OpenBLAS is about to read to stderr.
+_REPORT_SPIN_AT_NUMPY_IMPORT = """\
+import os
+import sys
+
+
+class _ReportAtNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(repr(os.environ.get("OPENBLAS_THREAD_TIMEOUT")), file=sys.stderr)
+        return None
+
+
+sys.meta_path.insert(0, _ReportAtNumpyImport())
+"""
+
+
+class TestBlasSpinTimeout:
+    """The CLI shortens OpenBLAS's idle spin before numpy loads; a value the user set wins."""
+
+    @staticmethod
+    def spin_timeout_numpy_sees(tmp_path, **variables):
+        (tmp_path / "sitecustomize.py").write_text(_REPORT_SPIN_AT_NUMPY_IMPORT)
+        src = str(Path(graphspectra.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env.update(variables, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+        proc = subprocess.run([sys.executable, "-m", "graphspectra", "bounds", KARATE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        (reported,) = proc.stderr.splitlines()
+        return ast.literal_eval(reported)
+
+    def test_set_before_numpy_loads(self, tmp_path):
+        assert self.spin_timeout_numpy_sees(tmp_path) == cli._OPENBLAS_SPIN_EXPONENT
+
+    def test_users_value_reaches_numpy_unchanged(self, tmp_path):
+        assert self.spin_timeout_numpy_sees(tmp_path, OPENBLAS_THREAD_TIMEOUT="30") == "30"
+
+    def test_in_process_caller_with_numpy_loaded_keeps_its_environment(self, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        assert "numpy" in sys.modules
+        before = dict(os.environ)
+        assert run(capsys, "bounds", KARATE)[0] == 0
+        assert dict(os.environ) == before
+
+
 def _info(n, d_min, d_max, components, rescaled, tag=None, region=None, ordering=None):
     return {"n": n, "d_min": d_min, "d_max": d_max, "component_count": components,
             "rescaled": rescaled, "class": tag and {"j": tag[0], "k": tag[1]},
@@ -770,6 +817,15 @@ class TestExitCodes:
         assert err.startswith("error: line 1: 100000000 vertices need a ")
         assert len(err.splitlines()) == 1
 
+    def test_oversized_sweep_is_one_error_line_at_once(self, capsys):
+        """The size rule on the largest C(k) of the range, before the first spectrum."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--graphc", "3..99999999")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 100000017 vertices need a ")
+        assert len(err.splitlines()) == 1
+
     def test_kmeans_inertia_increase_is_one_error_line(self, capsys, monkeypatch, tmp_path):
         real_argmin = np.argmin
         calls = []
@@ -840,6 +896,8 @@ class TestExitCodes:
         (None, ("gen", "bipartiteb", "5"), "bipartiteb does not take a size"),
         (None, ("table", "--dmin-max", "-1"), "table needs --dmin-max >= 0 and --dmax-max >= 1"),
         (None, ("sweep", "--graphc", "5..3"), "empty range '5..3'"),
+        (None, ("sweep", "--graphc", "\uff13..\uff14"),
+         "range must look like 3..18, got '\uff13..\uff14'"),
         ("nodes 0\n", ("polymap", "--pair", "A_L"), "cannot interpolate empty spectra"),
         ("nodes 1\n", ("gaps",), "gap bounds need d_max > 0"),
         ("nodes 1\n", ("plotdata", "--figure", "gaps", "--pair", "A_L"),
