@@ -896,12 +896,12 @@ class TestExitCodes:
         (None, ("gen", "bipartiteb", "5"), "bipartiteb does not take a size"),
         (None, ("table", "--dmin-max", "-1"), "table needs --dmin-max >= 0 and --dmax-max >= 1"),
         (None, ("sweep", "--graphc", "5..3"), "empty range '5..3'"),
-        (None, ("sweep", "--graphc", "\uff13..\uff14"),
-         "range must look like 3..18, got '\uff13..\uff14'"),
         ("nodes 0\n", ("polymap", "--pair", "A_L"), "cannot interpolate empty spectra"),
         ("nodes 1\n", ("gaps",), "gap bounds need d_max > 0"),
         ("nodes 1\n", ("plotdata", "--figure", "gaps", "--pair", "A_L"),
          "eigengaps need at least two eigenvalues"),
+        (None, ("sweep", "--graphc", "\uff13..\uff14"),
+         "range must look like 3..18, got '\uff13..\uff14'"),
     ])
     def test_domain_error_is_one_error_line(self, capsys, tmp_path, graph, argv, message):
         if graph is not None:
