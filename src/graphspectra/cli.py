@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 from .graphs import (
     DegreeSummary,
     Graph,
-    _check_vertex_count,
+    _check_graph_c_size,
     _write_edge_list,
     class_tag,
     classify_region,
@@ -432,7 +432,7 @@ def _cmd_sweep(args) -> int:
     from .spectra import normalized_eigengaps, spectrum
 
     ks = _parse_range(args.graphc)
-    _check_vertex_count(ks[-1] + 18)
+    _check_graph_c_size(ks[-1])
     lines = ["k,kind,gap_index,value,note"]
     for k in ks:
         g = gen_graph_c(k)

@@ -7,18 +7,23 @@ with a deterministic k-means: k-means++ seeding, Lloyd's iterations,
 best of a fixed number of restarts, restart r drawing from its own
 generator ``numpy.random.default_rng([seed, r])``.
 
-The restarts run in blocks sized to a fixed working set. Seeding takes
-one numpy step per centre for the whole block, and Lloyd's iterations
-run the block in lockstep until each restart's labels stop changing.
-Every sum is taken in the order numpy takes it for one restart at a
-time, so the result is bit-identical to running the restarts one after
-another.
+The restarts run in blocks sized to one fixed working set. Seeding takes
+one numpy step per centre for a whole block, and Lloyd's iterations run
+a block in lockstep until each restart's labels stop changing. While the
+table of squared distances between points fits a quarter of the working
+set (n <= 256), one seeding pass runs ahead of Lloyd's iterations, in
+blocks sized by seeding's own cost, and keeps only the ids of the points
+it picks; each Lloyd block then gathers its first distances from that
+table. Without it, each Lloyd block seeds its own restarts and keeps the
+distances that seeding computed. Every sum is taken in the order numpy
+takes it for one restart at a time, so the result is bit-identical to
+running the restarts one after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -29,7 +34,8 @@ from .vocabulary import DEFAULT_RESTARTS, DEFAULT_SEED, KMeansError, Representat
 MAX_LLOYD_ITERATIONS = 300
 # Bytes k-means may hold at once: the distances between points, while
 # they fit a quarter of it, and a block of restarts, as many as n, k and
-# d leave room for. The restart count never sets the block.
+# d leave room for in seeding or in Lloyd's iterations. The restart count
+# never sets a block.
 KMEANS_WORKING_SET_BYTES = 2 * 1024 * 1024
 
 
@@ -105,45 +111,55 @@ class _Points:
         return self._between[picks]
 
 
+def _kmeanspp(
+    points: _Points, k: int, seed: int, block: range, table: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """k-means++ seeds for each restart in ``block``, one step per centre.
+
+    Returns the (m, k) ids of the points picked as centres. A given (m, n, k)
+    ``table`` is filled with the squared distances of every point to them.
+    """
+    n = len(points.data)
+    picks = np.empty((len(block), k), dtype=np.intp)
+    uniforms = np.empty((len(block), k - 1))
+    for i, r in enumerate(block):
+        rng = np.random.default_rng([seed, r])
+        # One vector draw yields the same doubles as k - 1 scalar draws.
+        picks[i, 0], uniforms[i] = rng.integers(n), rng.random(k - 1)
+    closest = points.to_points(picks[:, 0])
+    if table is not None:
+        table[:, :, 0] = closest
+    replayed: dict[int, np.random.Generator] = {}
+    # A zero total divides to nan; that row draws an integer below.
+    with np.errstate(invalid="ignore"):
+        for j in range(1, k):
+            total = closest.sum(axis=1)
+            cumulative = np.cumsum(closest / total[:, None], axis=1)
+            # On a nondecreasing row, searchsorted(row, u) counts the entries below u.
+            step = np.minimum((cumulative < uniforms[:, j - 1, None]).sum(axis=1), n - 1)
+            for i in np.flatnonzero(total <= 0.0):
+                # Every point sits on a centre, and stays there: from this step on
+                # the restart draws integers(n), after the j - 1 uniforms it used.
+                if i not in replayed:
+                    rng = replayed[i] = np.random.default_rng([seed, block[i]])
+                    rng.integers(n)
+                    rng.random(j - 1)
+                step[i] = replayed[i].integers(n)
+            picks[:, j] = step
+            distances = points.to_points(step)
+            if table is not None:
+                table[:, :, j] = distances
+            np.minimum(closest, distances, out=closest)
+    return picks
+
+
 def _kmeanspp_init(
     points: _Points, k: int, seed: int, block: range
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++ centres for each restart in ``block``, one step per centre.
-
-    Returns the (m, k, d) centres and the (m, n, k) squared distances of
-    every point to them, which the first Lloyd iteration reuses.
-    """
-    data = points.data
-    n = len(data)
-    rngs = [np.random.default_rng([seed, r]) for r in block]
-    picks = np.array([rng.integers(n) for rng in rngs])
-    # One vector draw yields the same doubles as k - 1 scalar draws.
-    uniforms = np.array([rng.random(k - 1) for rng in rngs]).reshape(len(block), k - 1)
-    centres = np.empty((len(block), k, data.shape[1]))
-    table = np.empty((len(block), n, k))
-    centres[:, 0] = data[picks]
-    table[:, :, 0] = points.to_points(picks)
-    closest = table[:, :, 0].copy()
-    replayed: dict[int, np.random.Generator] = {}
-    for j in range(1, k):
-        total = closest.sum(axis=1)
-        # A zero total divides to nan; that row draws an integer below.
-        with np.errstate(invalid="ignore"):
-            cumulative = np.cumsum(closest / total[:, None], axis=1)
-        # On a nondecreasing row, searchsorted(row, u) counts the entries below u.
-        picks = np.minimum((cumulative < uniforms[:, j - 1, None]).sum(axis=1), n - 1)
-        for i in np.flatnonzero(total <= 0.0):
-            # Every point sits on a centre, and stays there: from this step on
-            # the restart draws integers(n), after the j - 1 uniforms it used.
-            if i not in replayed:
-                rng = replayed[i] = np.random.default_rng([seed, block[i]])
-                rng.integers(n)
-                rng.random(j - 1)
-            picks[i] = replayed[i].integers(n)
-        centres[:, j] = data[picks]
-        table[:, :, j] = points.to_points(picks)
-        np.minimum(closest, table[:, :, j], out=closest)
-    return centres, table
+    """k-means++ centres (m, k, d) for each restart in ``block``, and the
+    (m, n, k) squared distances of every point to them, filled while seeding."""
+    table = np.empty((len(block), len(points.data), k))
+    return points.data[_kmeanspp(points, k, seed, block, table)], table
 
 
 def _cluster_means(data: np.ndarray, labels: np.ndarray, centres: np.ndarray) -> np.ndarray:
@@ -160,24 +176,28 @@ def _cluster_means(data: np.ndarray, labels: np.ndarray, centres: np.ndarray) ->
         sums = np.array([[data[row == j, 0].sum()] for row in labels for j in range(k)])
     else:
         sums = np.empty((m * k, d))
-        for c in range(d):
-            sums[:, c] = np.bincount(bins, weights=np.tile(data[:, c], m), minlength=m * k)
+        for c, weights in enumerate(np.tile(data.T, m)):
+            sums[:, c] = np.bincount(bins, weights=weights, minlength=m * k)
     np.copyto(sums, centres.reshape(m * k, d), where=counts == 0)
     np.divide(sums, counts, out=sums, where=counts > 0)
     return sums.reshape(m, k, d)
 
 
-def _kmeans_block(
-    points: _Points, k: int, seed: int, block: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seed, then run Lloyd's iterations on a block of restarts in lockstep.
+_Start = Callable[[], tuple[np.ndarray, np.ndarray]]
 
-    Returns each restart's labels (m, n) and inertia (m,). A restart leaves
-    the block as soon as its labels stop changing, and only the distances
-    to centres that moved are computed again.
+
+def _kmeans_block(points: _Points, start: _Start) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's iterations on a block of restarts in lockstep.
+
+    ``start()`` gives the restarts' (m, k, d) k-means++ centres and the
+    (m, n, k) squared distances of every point to them; called here, so the
+    block holds the only reference to the table it shrinks. Returns each
+    restart's labels (m, n) and inertia (m,). A restart leaves the block as
+    soon as its labels stop changing, and only the distances to centres
+    that moved are computed again.
     """
-    centres, table = _kmeanspp_init(points, k, seed, block)
-    m, n = len(block), len(points.data)
+    centres, table = start()
+    m, n, _ = table.shape
     labels_out, inertia_out = np.empty((m, n), dtype=np.intp), np.empty(m)
     active = np.arange(m)
     labels = np.zeros_like(labels_out)
@@ -212,14 +232,51 @@ def _kmeans_block(
     return labels_out, inertia_out
 
 
-def _block_size(points: _Points, k: int) -> int:
-    """Restarts per block: as many as fit the working-set budget, at least one."""
+def _block_size(points: _Points, k: int, held: int = 0) -> int:
+    """Restarts per Lloyd block: as many as fit the working-set budget beside
+    ``held`` bytes, at least one."""
     n, d = points.data.shape
     # At most: the distance table (n, k) twice while restarts leave the
     # block, or once beside two sets of centres (k, d) and the differences
-    # to one centre (n, d); then a few rows of n and the k uniforms.
+    # to one centre (n, d); then a few rows of n and the k seeds.
     per_restart = 8 * (2 * n * k + n * d + 2 * k * d + 8 * n + k)
+    return max(1, (KMEANS_WORKING_SET_BYTES - points.nbytes - held) // per_restart)
+
+
+def _seeding_block_size(points: _Points, k: int) -> int:
+    """Restarts per seeding block where the point table exists, at least one."""
+    n, d = points.data.shape
+    # Per restart: the picks and the uniforms (k each), four rows of n (the
+    # closest distances, their shares, the cumulative shares and the
+    # distances to the newest pick) and the differences (n, d) that fill a
+    # row of the point table.
+    per_restart = 8 * (4 * n + 2 * k + n * d)
     return max(1, (KMEANS_WORKING_SET_BYTES - points.nbytes) // per_restart)
+
+
+def _lloyd_starts(points: _Points, k: int, seed: int, restarts: int) -> Iterator[_Start]:
+    """For each Lloyd block, in restart order, the start that :func:`_kmeans_block` calls.
+
+    With the table of distances between points, one pass seeds every
+    restart, in blocks sized by seeding's own cost, and keeps only the
+    picks; each Lloyd block then gathers its table from the point table.
+    Without it, each Lloyd block seeds itself and keeps the distances that
+    seeding computed, which costs less than computing them again.
+    """
+    between = points._between
+    if between is None:
+        size = _block_size(points, k)
+        for first in range(0, restarts, size):
+            block = range(first, min(first + size, restarts))
+            yield lambda block=block: _kmeanspp_init(points, k, seed, block)
+        return
+    step = _seeding_block_size(points, k)
+    for first in range(0, restarts, step):
+        picks = _kmeanspp(points, k, seed, range(first, min(first + step, restarts)))
+        size = _block_size(points, k, held=picks.nbytes)
+        for at in range(0, len(picks), size):
+            seeds = picks[at : at + size]
+            yield lambda seeds=seeds: (points.data[seeds], between[seeds].transpose(0, 2, 1).copy())
 
 
 def kmeans(
@@ -248,11 +305,9 @@ def kmeans(
     if not np.all(np.isfinite(data)):
         raise ValueError("points must be finite (found NaN or inf)")
     points = _Points(data)
-    size = _block_size(points, k)
     best: Optional[tuple[np.ndarray, float]] = None
-    for start in range(0, restarts, size):
-        block = range(start, min(start + size, restarts))
-        labels, inertias = _kmeans_block(points, k, seed, block)
+    for start in _lloyd_starts(points, k, seed, restarts):
+        labels, inertias = _kmeans_block(points, start)
         for i, inertia in enumerate(inertias.tolist()):
             if best is None or inertia < best[1]:
                 best = (labels[i].copy(), inertia)

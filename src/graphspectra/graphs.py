@@ -243,23 +243,51 @@ def _graph_from_edges(n: int, edges: dict[tuple[int, int], float], index_base: i
     return g
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _check_vertex_count(n: int, lineno: Optional[int] = None) -> None:
     """Reject an n whose dense n x n float64 matrix exceeds physical memory.
 
     Spectra need that matrix, so such a graph can never be analysed; saying
     so up front beats an allocation failure (or the OOM killer) later.
     """
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # the platform does not say
-        return
+    memory = _physical_memory()
     need = 8 * n * n
-    if need > memory:
+    if memory is not None and need > memory:
         message = (f"{n} vertices need a {need / 2**30:,.1f} GiB dense matrix, "
                    f"more than the {memory / 2**30:,.1f} GiB of physical memory")
         if lineno is None:
             raise ValueError(message)
         raise GraphFormatError(f"line {lineno}: {message}")
+
+
+# Bytes a generated graph holds per edge at its peak: the pair tuples and
+# the sorted pair and weight lists, then the lines of its edge-list text.
+# tracemalloc read 151-155 bytes per edge for gen_complete(500..1400) and
+# gen_graph_c(1000) followed by _write_edge_list (Python 3.11).
+_BYTES_PER_GENERATED_EDGE = 160
+
+
+def _check_generated_size(n: int, m: int) -> None:
+    """Reject a generated graph of n vertices and m edges before any edge is
+    built: its dense matrix, or its m edges, would exceed physical memory."""
+    _check_vertex_count(n)
+    memory = _physical_memory()
+    need = _BYTES_PER_GENERATED_EDGE * m
+    if memory is not None and need > memory:
+        raise ValueError(f"{m} edges need about {need / 2**30:,.1f} GiB to build, "
+                         f"more than the {memory / 2**30:,.1f} GiB of physical memory")
+
+
+def _check_graph_c_size(k: int) -> None:
+    """:func:`_check_generated_size` for C(k): k + 18 vertices, k(k-1)/2 + 9 edges."""
+    _check_generated_size(k + 18, k * (k - 1) // 2 + 9)
 
 
 def parse_number(convert, token: str):
@@ -486,7 +514,7 @@ def gen_star(n: int) -> Graph:
     """Star on n vertices: vertex 0 is the hub, degrees {n-1, 1 x (n-1)}."""
     if n < 2:
         raise ValueError("star graph needs at least 2 vertices")
-    _check_vertex_count(n)
+    _check_generated_size(n, n - 1)
     return _unweighted(n, [(0, v) for v in range(1, n)])
 
 
@@ -494,7 +522,7 @@ def gen_complete(k: int) -> Graph:
     """Complete graph on k vertices; (k-1)-regular."""
     if k < 1:
         raise ValueError("complete graph needs at least 1 vertex")
-    _check_vertex_count(k)
+    _check_generated_size(k, k * (k - 1) // 2)
     return _unweighted(k, combinations(range(k), 2))
 
 
@@ -507,7 +535,7 @@ def gen_graph_c(k: int) -> Graph:
     """
     if k < 2:
         raise ValueError("complete component needs at least 2 vertices")
-    _check_vertex_count(k + 18)
+    _check_graph_c_size(k)
     pairs = [(v, v + 1) for v in range(k, k + 18, 2)]
     return _unweighted(k + 18, [*combinations(range(k), 2), *pairs])
 

@@ -106,6 +106,21 @@ class TestGen:
         assert err.startswith("error: ") and "vertices need a " in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, edges", [
+        (("gen", "complete", "1500"), 1124250),
+        (("gen", "graphc", "1500"), 1124259),
+        (("sweep", "--graphc", "3..1500"), 1124259),
+    ])
+    def test_too_many_edges_is_one_error_line_at_once(self, capsys, monkeypatch, argv, edges):
+        """The dense matrix of 1500 vertices fits 128 MiB, their edges do not."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert result == (1, "", f"error: {edges} edges need about 0.2 GiB to build, "
+                                 "more than the 0.1 GiB of physical memory\n")
+
 
 class TestFileFormat:
     """The first line, not the file name, says whether a file is Pajek or an edge list."""

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from graphspectra import (
@@ -125,7 +125,9 @@ def point_sets(draw):
     """(points, k, restarts, seed, budget). Rows repeat a few distinct ones, so
     duplicates are common and seeding often runs out of distinct points; grid
     coordinates also make distances tie. Row- or column-major; the budget is
-    the default, a few restarts per block, or one restart per block."""
+    the default, a few restarts per block, the least that keeps the table of
+    distances between points (a few restarts per seeding block, one per Lloyd
+    block), or one restart per block without that table."""
     n = draw(st.integers(min_value=1, max_value=16))
     d = draw(st.integers(min_value=1, max_value=10))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -140,7 +142,7 @@ def point_sets(draw):
     k = draw(st.integers(min_value=1, max_value=n))
     restarts = draw(st.integers(min_value=1, max_value=60))
     seed = draw(st.integers(min_value=0, max_value=2**63))
-    budget = draw(st.sampled_from([BUDGET, 20_000, 0]))
+    budget = draw(st.sampled_from([BUDGET, 20_000, 32 * n * n, 0]))
     return points, k, restarts, seed, budget
 
 
@@ -205,6 +207,61 @@ class TestBatchedRestarts:
         assert np.array_equal(means, [[[0.5, 0.0], [5.0, 5.0], [4.0, 2.0]]])
 
 
+def _schedule(points, k, restarts, seed, budget):
+    """(seeding blocks, Lloyd blocks) of one kmeans run, counted by call."""
+    with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget), \
+            mock.patch.object(clustering, "_kmeanspp", wraps=clustering._kmeanspp) as seeding, \
+            mock.patch.object(clustering, "_kmeans_block", wraps=clustering._kmeans_block) as lloyd:
+        kmeans(points, k, restarts=restarts, seed=seed)
+    return seeding.call_count, lloyd.call_count
+
+
+# n = 16, d = 10, k = 8 and a 20000-byte budget: 8 restarts per seeding
+# block and 2 per Lloyd block.
+SPANNING = (np.random.default_rng(2).standard_normal((16, 10)), 8, 6, 7, 20_000)
+SPLIT = (np.random.default_rng(2).standard_normal((16, 10)), 8, 30, 7, 20_000)
+
+
+class TestSeedingPass:
+    """Where the point table exists, one pass seeds every restart ahead of the
+    Lloyd blocks, itself in blocks sized by seeding's cost; without it, each
+    Lloyd block seeds its own restarts."""
+
+    @pytest.mark.parametrize("case, blocks", [
+        (SPANNING, (1, 3)),  # one seeding block spans three Lloyd blocks
+        (SPLIT, (4, 15)),  # the seeding pass is itself split: 8 + 8 + 8 + 6
+        ((*SPANNING[:4], 0), (6, 6)),  # no point table: seeding per Lloyd block
+    ])
+    def test_pinned_schedules(self, case, blocks):
+        points, k, restarts, seed, budget = case
+        assert _schedule(*case) == blocks
+        with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
+            _assert_matches_reference(points, k, restarts, seed)
+
+    @pytest.mark.parametrize("reached", [
+        lambda seeding, lloyd: seeding == 1 and lloyd >= 2,
+        lambda seeding, lloyd: seeding >= 2,
+    ], ids=["spanning", "split"])
+    def test_point_sets_reach_both_schedules(self, reached):
+        """The property tests draw both schedules, not only the pinned ones."""
+        def has_table_and_reaches(case):
+            points, k, restarts, seed, budget = case
+            with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
+                table = clustering._Points(points)._between is not None
+            return table and reached(*_schedule(*case))
+
+        find(point_sets(), has_table_and_reaches,
+             settings=settings(max_examples=60, derandomize=True, database=None,
+                               phases=[Phase.generate]))
+
+    def test_c50_lrw_seeds_in_one_pass(self):
+        """The C(50) Lrw clustering seeds its 50 restarts at once, while its
+        Lloyd blocks hold fewer."""
+        points = spectral_embed(gen_graph_c(50), LRW, 59)
+        seeding, lloyd = _schedule(points, 59, 50, 42, BUDGET)
+        assert seeding == 1 and lloyd >= 2
+
+
 def _kmeans_peak_bytes(points, k, restarts):
     kmeans(np.eye(3), 2)  # numpy.random loads on first use; keep it out of the peak
     tracemalloc.start()
@@ -224,6 +281,16 @@ class TestKmeansMemory:
         points = np.random.default_rng(4).standard_normal((80, 40))
         assert clustering._block_size(clustering._Points(points), 40) < 50
         assert _kmeans_peak_bytes(points, 40, 150) <= 1.1 * _kmeans_peak_bytes(points, 40, 50)
+
+    def test_seeding_pass_peak_does_not_grow_with_restarts(self):
+        """With the point table, 20 seeding blocks' worth of restarts."""
+        points = np.random.default_rng(4).standard_normal((50, 150))
+        assert clustering._Points(points)._between is not None
+        step = clustering._seeding_block_size(clustering._Points(points), 5)
+        assert step < 50
+        peak = _kmeans_peak_bytes(points, 5, 20 * step)
+        assert peak <= clustering.KMEANS_WORKING_SET_BYTES
+        assert peak <= 1.1 * _kmeans_peak_bytes(points, 5, 50)
 
 
 class TestSpectralEmbed:

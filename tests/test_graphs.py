@@ -5,6 +5,7 @@ complete: regular, karate: d_min 1 / d_max 17) and component counts of
 block-diagonal unions.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -718,4 +719,21 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert type(excinfo.value) is ValueError
         assert str(excinfo.value).startswith(f"{size + extra} vertices need a ")
+        assert peak < 2**16, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("gen, edges", [(gen_complete, 1124250), (gen_graph_c, 1124259)])
+    def test_too_many_edges_rejected_before_building(self, monkeypatch, gen, edges):
+        """With 128 MiB of memory, the 18 MB dense matrix of 1500 vertices
+        passes, but 1.1 million edges would not fit while they are built."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                gen(1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == (f"{edges} edges need about 0.2 GiB to build, "
+                                      "more than the 0.1 GiB of physical memory")
         assert peak < 2**16, f"peak {peak} bytes"
