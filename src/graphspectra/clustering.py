@@ -4,8 +4,10 @@ The embedding takes the "first k" eigenvectors in each matrix's own
 convention: the k largest-eigenvalue vectors of the adjacency matrix,
 the k smallest of either Laplacian. Rows of that matrix are clustered
 with a deterministic k-means: k-means++ seeding, Lloyd's iterations,
-best of a fixed number of restarts, restart r drawing from its own
-generator ``numpy.random.default_rng([seed, r])``.
+best of a fixed number of restarts. One generator,
+``numpy.random.default_rng(seed)``, serves every restart of a call:
+restart r reads row r of its ``random((restarts, k))``, one uniform per
+centre it picks. Seeding blocks draw their rows in restart order.
 
 The restarts run in blocks sized to one fixed working set. Seeding takes
 one numpy step per centre for a whole block, and Lloyd's iterations run
@@ -112,40 +114,30 @@ class _Points:
 
 
 def _kmeanspp(
-    points: _Points, k: int, seed: int, block: range, table: Optional[np.ndarray] = None
+    points: _Points, uniforms: np.ndarray, table: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """k-means++ seeds for each restart in ``block``, one step per centre.
+    """k-means++ seeds for a block of restarts, one step per centre.
 
-    Returns the (m, k) ids of the points picked as centres. A given (m, n, k)
+    Restart i reads row i of the (m, k) ``uniforms``, one per pick. Returns
+    the (m, k) ids of the points picked as centres. A given (m, n, k)
     ``table`` is filled with the squared distances of every point to them.
     """
     n = len(points.data)
-    picks = np.empty((len(block), k), dtype=np.intp)
-    uniforms = np.empty((len(block), k - 1))
-    for i, r in enumerate(block):
-        rng = np.random.default_rng([seed, r])
-        # One vector draw yields the same doubles as k - 1 scalar draws.
-        picks[i, 0], uniforms[i] = rng.integers(n), rng.random(k - 1)
+    # Each uniform's own pick, min(floor(u * n), n - 1): the first centre, and
+    # every centre picked once all points sit on centres. Later ones are
+    # overwritten step by step.
+    picks = np.minimum((uniforms * n).astype(np.intp), n - 1)
     closest = points.to_points(picks[:, 0])
     if table is not None:
         table[:, :, 0] = closest
-    replayed: dict[int, np.random.Generator] = {}
-    # A zero total divides to nan; that row draws an integer below.
+    # A zero total divides to nan; that row keeps its uniform pick.
     with np.errstate(invalid="ignore"):
-        for j in range(1, k):
+        for j in range(1, uniforms.shape[1]):
             total = closest.sum(axis=1)
             cumulative = np.cumsum(closest / total[:, None], axis=1)
             # On a nondecreasing row, searchsorted(row, u) counts the entries below u.
-            step = np.minimum((cumulative < uniforms[:, j - 1, None]).sum(axis=1), n - 1)
-            for i in np.flatnonzero(total <= 0.0):
-                # Every point sits on a centre, and stays there: from this step on
-                # the restart draws integers(n), after the j - 1 uniforms it used.
-                if i not in replayed:
-                    rng = replayed[i] = np.random.default_rng([seed, block[i]])
-                    rng.integers(n)
-                    rng.random(j - 1)
-                step[i] = replayed[i].integers(n)
-            picks[:, j] = step
+            step = np.minimum((cumulative < uniforms[:, j, None]).sum(axis=1), n - 1)
+            picks[:, j] = step = np.where(total > 0.0, step, picks[:, j])
             distances = points.to_points(step)
             if table is not None:
                 table[:, :, j] = distances
@@ -153,13 +145,12 @@ def _kmeanspp(
     return picks
 
 
-def _kmeanspp_init(
-    points: _Points, k: int, seed: int, block: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++ centres (m, k, d) for each restart in ``block``, and the
-    (m, n, k) squared distances of every point to them, filled while seeding."""
-    table = np.empty((len(block), len(points.data), k))
-    return points.data[_kmeanspp(points, k, seed, block, table)], table
+def _kmeanspp_init(points: _Points, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ centres (m, k, d) for a block of restarts drawing the (m, k)
+    ``uniforms``, and the (m, n, k) squared distances of every point to them,
+    filled while seeding."""
+    table = np.empty((len(uniforms), len(points.data), uniforms.shape[1]))
+    return points.data[_kmeanspp(points, uniforms, table)], table
 
 
 def _cluster_means(data: np.ndarray, labels: np.ndarray, centres: np.ndarray) -> np.ndarray:
@@ -263,16 +254,17 @@ def _lloyd_starts(points: _Points, k: int, seed: int, restarts: int) -> Iterator
     Without it, each Lloyd block seeds itself and keeps the distances that
     seeding computed, which costs less than computing them again.
     """
+    rng = np.random.default_rng(seed)
     between = points._between
     if between is None:
         size = _block_size(points, k)
         for first in range(0, restarts, size):
-            block = range(first, min(first + size, restarts))
-            yield lambda block=block: _kmeanspp_init(points, k, seed, block)
+            uniforms = rng.random((min(size, restarts - first), k))
+            yield lambda uniforms=uniforms: _kmeanspp_init(points, uniforms)
         return
     step = _seeding_block_size(points, k)
     for first in range(0, restarts, step):
-        picks = _kmeanspp(points, k, seed, range(first, min(first + step, restarts)))
+        picks = _kmeanspp(points, rng.random((min(step, restarts - first), k)))
         size = _block_size(points, k, held=picks.nbytes)
         for at in range(0, len(picks), size):
             seeds = picks[at : at + size]
@@ -288,11 +280,15 @@ def kmeans(
     """Deterministic k-means: k-means++ seeding, Lloyd iterations, best restart.
 
     Clusters the rows of the n x d array ``points``, which must be finite.
-    Each restart r draws from ``numpy.random.default_rng([seed, r])``, so
-    results are reproducible and independent of execution order; the
-    restart with minimal inertia wins, earliest restart on ties. Restarts
-    run in blocks, with the same arithmetic as one at a time. The result
-    has ``kind`` None and index base 0.
+    Restart r seeds from row r of ``numpy.random.default_rng(seed).random((restarts, k))``:
+    its first centre is point ``min(floor(u[0] * n), n - 1)``, and centre j
+    is drawn with u[j] in proportion to the squared distance to the nearest
+    centre so far, or as ``min(floor(u[j] * n), n - 1)`` once every point
+    sits on a centre. So a restart's result depends on neither the block
+    schedule nor the restart count. The restart with minimal inertia wins,
+    earliest restart on ties. Restarts run in blocks, with the same
+    arithmetic as one at a time. The result has ``kind`` None and index
+    base 0.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

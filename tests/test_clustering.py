@@ -54,21 +54,26 @@ def cluster_sets(labels):
     return sorted(groups.values(), key=lambda s: (len(s), min(s)))
 
 
-def _reference_kmeanspp_init(points, k, rng):
+def _reference_kmeanspp_init(points, k, uniforms):
+    """The k point ids one restart picks from its k uniforms."""
     n = len(points)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    picks = [min(int(uniforms[0] * n), n - 1)]
+    closest = np.sum((points - points[picks[0]]) ** 2, axis=1)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
-            idx = int(rng.integers(n))
+            idx = min(int(uniforms[j] * n), n - 1)
         else:
-            idx = int(np.searchsorted(np.cumsum(closest / total), rng.random()))
+            idx = int(np.searchsorted(np.cumsum(closest / total), uniforms[j]))
             idx = min(idx, n - 1)
-        centers[j] = points[idx]
-        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
-    return centers
+        picks.append(idx)
+        closest = np.minimum(closest, np.sum((points - points[idx]) ** 2, axis=1))
+    return np.array(picks)
+
+
+def _reference_uniforms(k, restarts, seed):
+    """Row r holds restart r's uniforms."""
+    return np.random.default_rng(seed).random((restarts, k))
 
 
 def _reference_lloyd(points, centers):
@@ -90,27 +95,53 @@ def _reference_lloyd(points, centers):
 
 def _reference_restarts(points, k, restarts, seed):
     """Each restart's (labels, inertia), one restart at a time."""
-    return [_reference_lloyd(points, _reference_kmeanspp_init(points, k, np.random.default_rng([seed, r])))
-            for r in range(restarts)]
+    return [_reference_lloyd(points, points[_reference_kmeanspp_init(points, k, u)])
+            for u in _reference_uniforms(k, restarts, seed)]
 
 
-def _reference_kmeans(points, k, restarts, seed):
+def _best_run(runs, k):
     """(labels, inertia, empty clusters) of the least-inertia restart, earliest on ties."""
     best = None
-    for labels, inertia in _reference_restarts(points, k, restarts, seed):
+    for labels, inertia in runs:
         if best is None or inertia < best[1]:
             best = (labels, inertia)
     labels, inertia = best
     return labels, inertia, tuple(j for j in range(k) if not np.any(labels == j))
 
 
+def _restart_runs(points, k, restarts, seed):
+    """The result of one kmeans call, and each restart's picks (R, k), labels
+    (R, n) and inertia (R,) in that call, recorded from its blocks."""
+    picks, labels, inertias = [], [], []
+    seeding, lloyd = clustering._kmeanspp, clustering._kmeans_block
+
+    def recorded_seeding(*args):
+        picks.append(seeding(*args))
+        return picks[-1]
+
+    def recorded_lloyd(*args):
+        block_labels, block_inertias = lloyd(*args)
+        labels.append(block_labels)
+        inertias.append(block_inertias)
+        return block_labels, block_inertias
+
+    with mock.patch.object(clustering, "_kmeanspp", recorded_seeding), \
+            mock.patch.object(clustering, "_kmeans_block", recorded_lloyd):
+        result = kmeans(points, k, restarts=restarts, seed=seed)
+    return result, np.concatenate(picks), np.concatenate(labels), np.concatenate(inertias)
+
+
 def _assert_matches_reference(points, k, restarts, seed):
-    centres, _ = clustering._kmeanspp_init(clustering._Points(points), k, seed, range(restarts))
-    for r in range(restarts):
-        expected = _reference_kmeanspp_init(points, k, np.random.default_rng([seed, r]))
-        assert np.array_equal(centres[r], expected)
-    result = kmeans(points, k, restarts=restarts, seed=seed)
-    labels, inertia, empty = _reference_kmeans(points, k, restarts, seed)
+    """Every restart's picks, labels and inertia, and the result, are the
+    reference's, bit for bit."""
+    result, picks, labels, inertias = _restart_runs(points, k, restarts, seed)
+    for r, uniforms in enumerate(_reference_uniforms(k, restarts, seed)):
+        assert np.array_equal(picks[r], _reference_kmeanspp_init(points, k, uniforms))
+    runs = _reference_restarts(points, k, restarts, seed)
+    for r, (expected_labels, expected_inertia) in enumerate(runs):
+        assert np.array_equal(labels[r], expected_labels)
+        assert inertias[r] == expected_inertia
+    labels, inertia, empty = _best_run(runs, k)
     assert result.labels.dtype == labels.dtype
     assert np.array_equal(result.labels, labels)
     assert result.inertia == inertia  # bit for bit
@@ -118,6 +149,12 @@ def _assert_matches_reference(points, k, restarts, seed):
 
 
 BUDGET = clustering.KMEANS_WORKING_SET_BYTES
+
+
+def _budgets(n):
+    """The default, a few restarts per block, the least that keeps the point
+    table for n points, and one restart per block without it."""
+    return [BUDGET, 20_000, 32 * n * n, 0]
 
 
 @st.composite
@@ -142,7 +179,7 @@ def point_sets(draw):
     k = draw(st.integers(min_value=1, max_value=n))
     restarts = draw(st.integers(min_value=1, max_value=60))
     seed = draw(st.integers(min_value=0, max_value=2**63))
-    budget = draw(st.sampled_from([BUDGET, 20_000, 32 * n * n, 0]))
+    budget = draw(st.sampled_from(_budgets(n)))
     return points, k, restarts, seed, budget
 
 
@@ -154,7 +191,7 @@ class TestBatchedRestarts:
     @given(point_sets())
     # Three distinct points and k = 5: seeding runs out of distinct points.
     @example((np.repeat(np.eye(3), 3, axis=0), 5, 7, 42, BUDGET))
-    # Squared differences underflow to 0, so seeding draws integers while the
+    # Squared differences underflow to 0, so seeding picks uniformly while the
     # points it picks still differ.
     @example((np.array([[0.0], [1e-200], [3e-200], [7e-200]]), 4, 5, 42, BUDGET))
     # One coordinate: numpy sums a cluster's members pairwise.
@@ -176,6 +213,21 @@ class TestBatchedRestarts:
         with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget), \
                 mock.patch.object(clustering, "MAX_LLOYD_ITERATIONS", cap):
             _assert_matches_reference(points, k, restarts, seed)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(point_sets(), st.integers(min_value=1, max_value=60))
+    def test_first_restarts_do_not_depend_on_the_restart_count(self, case, more):
+        """The first R restarts pick and find the same at R and at R + more
+        restarts, under every budget."""
+        points, k, restarts, seed, _ = case
+        runs = []
+        for budget in _budgets(len(points)):
+            with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
+                for count in (restarts, restarts + more):
+                    runs.append([run[:restarts] for run in _restart_runs(points, k, count, seed)[1:]])
+        for run in runs[1:]:
+            for recorded, first in zip(run, runs[0]):
+                assert np.array_equal(recorded, first)
 
     def test_several_blocks(self):
         """n = 68 and k = d = 59, the size of the C(50) Lrw clustering."""

@@ -169,6 +169,24 @@ class TestSolverHealthChecks:
             spectrum(path3(), L)
         assert str(info.value) == "L eigenvalues escape the Gershgorin support [0.0, 1.0]"
 
+    @pytest.mark.parametrize("kind", [A, L])
+    def test_values_escaping_a_tiny_support(self, monkeypatch, kind):
+        """With weights 1e-12 the support is a few 1e-12 long: an eigenvalue
+        1e-15 past it is caught, although an absolute slack of 1e-9 would
+        let it through."""
+        g = Graph(n=3, weights=path3().weights * 1e-12)
+        hi = spectral_support(kind, float(g.degrees.max()))[1]
+        solve = spectra.eig_sym
+
+        def shifted_eig_sym(m, label):
+            values, vectors = solve(m, label=label)
+            values[-1] = hi + 1e-15
+            return values, vectors
+
+        monkeypatch.setattr(spectra, "eig_sym", shifted_eig_sym)
+        with pytest.raises(EigensolverError, match="eigenvalues escape the Gershgorin support"):
+            spectrum(g, kind)
+
 
 class TestSpectrum:
     def test_star18_adjacency(self, star18):
