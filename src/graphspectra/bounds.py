@@ -16,6 +16,7 @@ each matrix's spectral support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,6 +153,8 @@ def _affine(pair: MatrixPair, ds: DegreeSummary) -> tuple[float, float]:
     if total <= 0:
         raise ValueError("transform parameters need d_max + d_min > 0")
     c = 2.0 / total
+    if math.isinf(c):  # every degree below about 1e-308
+        raise ValueError("transform scale 2/(d_max + d_min) overflows")
     if pair is MatrixPair.L_LRW:
         return -0.0, c  # -0.0 is the additive identity: -0.0 + c*x is c*x even where that is -0.0
     return 1.0, -c

@@ -17,9 +17,10 @@ set (n <= 256), one seeding pass runs ahead of Lloyd's iterations, in
 blocks sized by seeding's own cost, and keeps only the ids of the points
 it picks; each Lloyd block then gathers its first distances from that
 table. Without it, each Lloyd block seeds its own restarts and keeps the
-distances that seeding computed. Every sum is taken in the order numpy
-takes it for one restart at a time, so the result is bit-identical to
-running the restarts one after another.
+distances that seeding computed. A squared distance adds its coordinates
+in index order and a cluster mean adds its members in vertex order,
+whatever the memory layout of the points, so the result is bit-identical
+to running the restarts one after another, on any layout.
 """
 
 from __future__ import annotations
@@ -74,17 +75,15 @@ def spectral_embed(g: Graph, kind: RepresentationKind, k: int) -> np.ndarray:
 class _Points:
     """The points being clustered, and their squared distances to centres.
 
-    A distance sums its coordinates in the order numpy sums them for one
-    restart at a time, which follows the memory layout of the data:
-    pairwise along the rows of a row-major array, one coordinate after the
-    other for a column-major one (the adjacency embedding is column-major).
+    A distance adds its coordinates in index order, whatever the memory
+    layout of the points: they are held as one contiguous (d, n) array,
+    and each distance sums over its first axis.
     """
 
     def __init__(self, data: np.ndarray):
-        n, d = data.shape
+        n = len(data)
         self.data = data
-        self._column_major = n > 1 and d > 1 and abs(data.strides[0]) < abs(data.strides[1])
-        self._coordinates = np.ascontiguousarray(data.T if self._column_major else data)
+        self._coordinates = np.ascontiguousarray(data.T)
         # k-means++ seeds are points. While the n x n table of distances
         # between points fits a quarter of the budget, each of its rows is
         # computed once, on first use, and shared by all restarts.
@@ -95,11 +94,8 @@ class _Points:
 
     def to_centres(self, centres: np.ndarray) -> np.ndarray:
         """(m, n) squared distances from every point to each of the (m, d) centres."""
-        if self._column_major:
-            diff = self._coordinates[None] - centres[:, :, None]
-            return np.square(diff, out=diff).sum(axis=1)
-        diff = self._coordinates[None] - centres[:, None, :]
-        return np.square(diff, out=diff).sum(axis=2)
+        diff = self._coordinates[None] - centres[:, :, None]
+        return np.square(diff, out=diff).sum(axis=1)
 
     def to_points(self, picks: np.ndarray) -> np.ndarray:
         """(m, n) squared distances from every point to the points ``picks``."""
@@ -156,19 +152,14 @@ def _kmeanspp_init(points: _Points, uniforms: np.ndarray) -> tuple[np.ndarray, n
 def _cluster_means(data: np.ndarray, labels: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Each cluster's mean of its members; an empty cluster keeps its centre.
 
-    Members are summed as numpy sums the rows of one cluster: one after
-    the other in vertex order, except a single coordinate, which numpy
-    sums pairwise.
+    A cluster's members are added one after the other in vertex order.
     """
     m, k, d = centres.shape
     bins = (labels + k * np.arange(m)[:, None]).ravel()
     counts = np.bincount(bins, minlength=m * k)[:, None]
-    if d == 1:
-        sums = np.array([[data[row == j, 0].sum()] for row in labels for j in range(k)])
-    else:
-        sums = np.empty((m * k, d))
-        for c, weights in enumerate(np.tile(data.T, m)):
-            sums[:, c] = np.bincount(bins, weights=weights, minlength=m * k)
+    sums = np.empty((m * k, d))
+    for c, weights in enumerate(np.tile(data.T, m)):
+        sums[:, c] = np.bincount(bins, weights=weights, minlength=m * k)
     np.copyto(sums, centres.reshape(m * k, d), where=counts == 0)
     np.divide(sums, counts, out=sums, where=counts > 0)
     return sums.reshape(m, k, d)
@@ -279,7 +270,8 @@ def kmeans(
 ) -> ClusteringResult:
     """Deterministic k-means: k-means++ seeding, Lloyd iterations, best restart.
 
-    Clusters the rows of the n x d array ``points``, which must be finite.
+    Clusters the rows of the n x d array ``points``, which must be finite,
+    and close enough that n squared distances add up without overflow.
     Restart r seeds from row r of ``numpy.random.default_rng(seed).random((restarts, k))``:
     its first centre is point ``min(floor(u[0] * n), n - 1)``, and centre j
     is drawn with u[j] in proportion to the squared distance to the nearest
@@ -287,8 +279,10 @@ def kmeans(
     sits on a centre. So a restart's result depends on neither the block
     schedule nor the restart count. The restart with minimal inertia wins,
     earliest restart on ties. Restarts run in blocks, with the same
-    arithmetic as one at a time. The result has ``kind`` None and index
-    base 0.
+    arithmetic as one at a time: a squared distance adds its coordinates in
+    index order and a cluster mean adds its members in vertex order,
+    whatever the memory layout of ``points``. The result has ``kind`` None
+    and index base 0.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -300,6 +294,12 @@ def kmeans(
         raise ValueError("restarts must be at least 1")
     if not np.all(np.isfinite(data)):
         raise ValueError("points must be finite (found NaN or inf)")
+    # A squared distance is at most the squared diagonal of the points'
+    # bounding box; an inertia adds n of them and a cluster sum n coordinates.
+    with np.errstate(over="ignore"):
+        reach = n * max(np.square(np.ptp(data, axis=0)).sum(), np.abs(data).max(initial=0.0))
+    if not np.isfinite(reach):
+        raise ValueError("points are too far apart: k-means sums of squared distances overflow")
     points = _Points(data)
     best: Optional[tuple[np.ndarray, float]] = None
     for start in _lloyd_starts(points, k, seed, restarts):

@@ -75,9 +75,17 @@ def build_matrix(g: Graph, kind: RepresentationKind) -> np.ndarray:
             raise UndefinedRepresentationError(
                 "normalised Laplacian is undefined for d_min = 0 (isolated vertex)"
             )
-        inv_sqrt = 1.0 / np.sqrt(g.degrees)
+        # With d = m * 4**e, m in [1/4, 1) and t = 1/sqrt(m), lap / sqrt(d_i d_j)
+        # is (lap * 2**-(e_i + e_j)) * (t_i * t_j). No step overflows, even on
+        # subnormal degrees, and where degrees and entries are normal each
+        # step rounds as lap * (1/sqrt(d_i) * 1/sqrt(d_j)).
+        mantissa, binary = np.frexp(g.degrees)
+        e = (binary + 1) // 2
+        t = 1.0 / np.sqrt(np.ldexp(mantissa, binary - 2 * e))
         # Elementwise scaling keeps the matrix exactly symmetric.
-        return lap * np.outer(inv_sqrt, inv_sqrt)
+        np.ldexp(lap, np.add.outer(-e, -e), out=lap)
+        lap *= np.outer(t, t)
+        return lap
     raise ValueError(f"unknown representation kind {kind!r}")
 
 

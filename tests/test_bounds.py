@@ -111,6 +111,15 @@ class TestTransformParams:
             with pytest.raises(ValueError, match="d_max \\+ d_min > 0"):
                 apply_transform(pair, ds, spectrum(g, kind))
 
+    def test_scale_overflow_rejected(self):
+        """Every degree subnormal: 2/(d_max + d_min) overflows, so f2 and f3
+        raise rather than map to NaN and inf."""
+        g = load_edge_list("nodes 2\n0 1 1e-320\n")
+        ds = degree_summary(g)
+        for pair, kind in ((MatrixPair.L_LRW, L), (MatrixPair.A_LRW, A)):
+            with pytest.raises(ValueError, match="overflows"):
+                apply_transform(pair, ds, spectrum(g, kind))
+
 
 def random_weighted_graph(rng, n, p):
     w = np.zeros((n, n))

@@ -20,6 +20,7 @@ from graphspectra import cli, load_edge_list
 from graphspectra.cli import main
 from graphspectra.data import karate_factions_path, karate_net_path, load_truth_labels
 from graphspectra.graphs import _write_edge_list
+from test_golden import ISOLATED
 
 KARATE = str(karate_net_path())
 
@@ -962,3 +963,55 @@ class TestExitCodes:
         graph_file = tmp_path / "graph"
         graph_file.write_text(text)
         assert run(capsys, "info", str(graph_file)) == (1, "", f"error: {message}\n")
+
+
+# Degenerate and extreme graphs: every degree subnormal, one subnormal
+# degree beside normal ones, tiny but normal weights, no edges, one vertex,
+# no vertex, and an isolated vertex.
+ADVERSARIAL_GRAPHS = {
+    "subnormal": "nodes 2\n0 1 1e-320\n",
+    "subnormal_mixed": "nodes 3\n0 1 1e-320\n1 2 1\n",
+    "weights_1e-300": "nodes 3\n0 1 1e-300\n1 2 1e-300\n",
+    "edgeless": "nodes 3\n",
+    "one_vertex": "nodes 1\n",
+    "no_vertex": "nodes 0\n",
+    "isolated": ISOLATED,
+}
+KINDS = ("A", "L", "Lrw")
+PAIRS = ("A_L", "L_Lrw", "A_Lrw")
+# Every subcommand that reads a graph file, with each of its kinds or pairs.
+FILE_COMMANDS = (
+    ("info",), ("region",), ("bounds",), ("gaps",), ("weyl",),
+    *(("spectra", "--kind", kind) for kind in KINDS),
+    *(("cluster", "--kind", kind, "--k", k) for kind in KINDS for k in ("1", "2")),
+    *((command, "--pair", pair) for command in ("crossover", "polymap") for pair in PAIRS),
+    *(("plotdata", "--figure", figure, "--pair", pair) for figure in ("eigs", "gaps") for pair in PAIRS),
+)
+CSV_COMMANDS = {"spectra", "plotdata"}
+
+
+class TestAdversarialGraphFiles:
+    """Each command either succeeds, printing parseable output and nothing on
+    stderr, or fails with exit code 1, no output and one ``error:`` line. A
+    numpy warning counts as stderr, as it does in a shell."""
+
+    @pytest.mark.parametrize("graph", sorted(ADVERSARIAL_GRAPHS))
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=" ".join)
+    def test_ends_cleanly(self, capsys, tmp_path, graph, argv):
+        graph_file = tmp_path / "graph.txt"
+        graph_file.write_text(ADVERSARIAL_GRAPHS[graph])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv[0], str(graph_file), *argv[1:])
+        err += "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        if code == 0:
+            assert err == ""
+            if argv[0] in CSV_COMMANDS:
+                rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+                assert all(len(row) == len(rows[0]) for row in rows)
+                assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
+            else:
+                json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -54,11 +54,21 @@ def cluster_sets(labels):
     return sorted(groups.values(), key=lambda s: (len(s), min(s)))
 
 
+def _in_order(terms):
+    """The sum of ``terms`` over their first axis, added in index order."""
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def _reference_distances(points, centre):
+    """Squared distances of every point to ``centre``, coordinates in index order."""
+    return _in_order(((points - centre) ** 2).T)
+
+
 def _reference_kmeanspp_init(points, k, uniforms):
     """The k point ids one restart picks from its k uniforms."""
     n = len(points)
     picks = [min(int(uniforms[0] * n), n - 1)]
-    closest = np.sum((points - points[picks[0]]) ** 2, axis=1)
+    closest = _reference_distances(points, points[picks[0]])
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -67,7 +77,7 @@ def _reference_kmeanspp_init(points, k, uniforms):
             idx = int(np.searchsorted(np.cumsum(closest / total), uniforms[j]))
             idx = min(idx, n - 1)
         picks.append(idx)
-        closest = np.minimum(closest, np.sum((points - points[idx]) ** 2, axis=1))
+        closest = np.minimum(closest, _reference_distances(points, points[idx]))
     return np.array(picks)
 
 
@@ -80,7 +90,7 @@ def _reference_lloyd(points, centers):
     previous_cost = np.inf
     labels = np.zeros(len(points), dtype=int)
     for _ in range(clustering.MAX_LLOYD_ITERATIONS):
-        distances = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        distances = np.stack([_reference_distances(points, centre) for centre in centers], axis=1)
         new_labels = np.argmin(distances, axis=1)
         cost = float(distances[np.arange(len(points)), new_labels].sum())
         if np.array_equal(new_labels, labels) and np.isfinite(previous_cost):
@@ -89,7 +99,7 @@ def _reference_lloyd(points, centers):
         for j in range(len(centers)):
             members = points[labels == j]
             if len(members):
-                centers[j] = members.mean(axis=0)
+                centers[j] = _in_order(members) / len(members)
     return labels, previous_cost
 
 
@@ -194,9 +204,10 @@ class TestBatchedRestarts:
     # Squared differences underflow to 0, so seeding picks uniformly while the
     # points it picks still differ.
     @example((np.array([[0.0], [1e-200], [3e-200], [7e-200]]), 4, 5, 42, BUDGET))
-    # One coordinate: numpy sums a cluster's members pairwise.
+    # One coordinate and k = 1: the mean adds all twelve members in vertex order.
     @example((np.random.default_rng(5).standard_normal((12, 1)), 1, 1, 0, BUDGET))
-    # Column-major: numpy sums each distance one coordinate after the other.
+    # Column-major, d = 9: a distance adds its coordinates in index order, as
+    # for row-major points.
     @example((np.asfortranarray(np.random.default_rng(4).standard_normal((20, 9))), 2, 3, 0, BUDGET))
     def test_matches_one_restart_at_a_time(self, case):
         points, k, restarts, seed, budget = case
@@ -229,6 +240,26 @@ class TestBatchedRestarts:
             for recorded, first in zip(run, runs[0]):
                 assert np.array_equal(recorded, first)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(point_sets())
+    # d = 9: enough coordinates that a sum along the rows of the row-major
+    # copy would add them pairwise, not in index order.
+    @example((np.random.default_rng(4).standard_normal((20, 9)), 2, 3, 0, BUDGET))
+    def test_memory_layout_does_not_matter(self, case):
+        """Row-major, column-major and strided points give the same labels,
+        inertia and empty clusters, bit for bit, under every budget."""
+        points, k, restarts, seed, _ = case
+        padded = np.zeros((2 * len(points), 3 * points.shape[1]))
+        padded[::2, ::3] = points
+        layouts = (np.ascontiguousarray(points), np.asfortranarray(points), padded[::2, ::3])
+        for budget in _budgets(len(points)):
+            with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
+                first, *others = (kmeans(p, k, restarts=restarts, seed=seed) for p in layouts)
+                for result in others:
+                    assert np.array_equal(result.labels, first.labels)
+                    assert result.inertia == first.inertia  # bit for bit
+                    assert result.empty_clusters == first.empty_clusters
+
     def test_several_blocks(self):
         """n = 68 and k = d = 59, the size of the C(50) Lrw clustering."""
         points = np.random.default_rng(11).standard_normal((68, 59))
@@ -237,7 +268,8 @@ class TestBatchedRestarts:
 
     @pytest.mark.parametrize("kind, k", [(A, 10), (L, 19), (LRW, 27)])
     def test_embeddings(self, graph_c18, kind, k):
-        """The adjacency embedding is column-major, the others row-major."""
+        """The adjacency embedding is column-major, the others row-major; all
+        follow the one reference."""
         points = spectral_embed(graph_c18, kind, k)
         _assert_matches_reference(points, k, 50, 42)
 
@@ -435,6 +467,17 @@ class TestKmeans:
         monkeypatch.setattr(clustering, "_kmeans_block", no_work)
         with pytest.raises(ValueError, match=r"^points must be finite \(found NaN or inf\)$"):
             kmeans(np.array([[bad, 0.0], [1.0, 1.0], [2.0, 2.0]]), 2, restarts=5)
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 1e160], [0.0, -1e160], [1.0, 0.0]],  # a squared distance overflows
+        [[1e154], [-1e154], [0.0]],  # each squared distance is finite, their sum is not
+        [[1e308], [1e308], [1e308]],  # a cluster sum overflows
+    ])
+    def test_overflowing_points_are_refused_before_any_restart(self, points):
+        with mock.patch.object(clustering, "_lloyd_starts") as starts, \
+                pytest.raises(ValueError, match=r"^points are too far apart"):
+            kmeans(np.array(points), 2)
+        starts.assert_not_called()
 
     def test_negative_seed_is_named_error(self):
         """Checked before anything else, here before the out-of-range k."""

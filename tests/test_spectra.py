@@ -79,6 +79,27 @@ class TestBuildMatrix:
             m = build_matrix(karate, kind)
             assert np.array_equal(m, m.T)
 
+    @pytest.mark.parametrize("text, values", [
+        ("nodes 2\n0 1 1e-320\n", [0.0, 2.0]),
+        ("nodes 3\n0 1 1e-320\n1 2 1\n", [0.0, 1.0, 2.0]),
+    ], ids=["all", "one"])
+    def test_subnormal_degrees(self, text, values):
+        """1/sqrt(d_i) * 1/sqrt(d_j) overflows here; L_sym does not."""
+        g = load_edge_list(text)
+        m = build_matrix(g, LRW)
+        assert np.all(np.isfinite(m)) and np.array_equal(m, m.T)
+        np.testing.assert_allclose(spectrum(g, LRW).values, values, atol=1e-12)
+
+    def test_lsym_rounds_as_the_direct_product(self, karate):
+        """Where every degree is normal, each entry is lap * (1/sqrt(d_i) * 1/sqrt(d_j))."""
+        rng = np.random.default_rng(3)
+        edges = "".join(f"{i} {j} {10.0 ** rng.uniform(-150, 150)!r}\n"
+                        for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.3)
+        for g in (karate, load_edge_list("nodes 40\n" + edges)):
+            inv_sqrt = 1.0 / np.sqrt(g.degrees)
+            direct = build_matrix(g, L) * np.outer(inv_sqrt, inv_sqrt)
+            assert build_matrix(g, LRW).tobytes() == direct.tobytes()
+
 
 class TestEigSym:
     def test_identity(self):
