@@ -70,6 +70,12 @@ def _commands() -> dict[str, list[str]]:
         for name in ("info", "region"):
             cmds[f"{name}_{graph}"] = [name, "{" + graph + "}"]
     cmds["gaps_iso"] = ["gaps", "{iso}"]  # d_min = 0: the Lrw gap bounds and pairs are null
+    # Non-integer degree extremes, d_min = 5/7 and d_max = 12/7: the bounds in
+    # floats, and e' = e(A,Lrw) on the inner A_Lrw interval since d_max <= 5 d_min.
+    for name in ("bounds", "gaps"):
+        cmds[f"{name}_c4w"] = [name, "{c4w}"]
+    cmds["plotdata_eigs_A_Lrw_c4w"] = ["plotdata", "{c4w}", "--figure", "eigs", "--pair", "A_Lrw"]
+    cmds["plotdata_gaps_L_Lrw_c4w"] = ["plotdata", "{c4w}", "--figure", "gaps", "--pair", "L_Lrw"]
     for graph in ("c4w", "c6"):  # stable maps: the interpolation runs
         for pair in PAIRS:
             cmds[f"polymap_{pair}_{graph}"] = ["polymap", "{" + graph + "}", "--pair", pair]
