@@ -16,19 +16,17 @@ __version__ = "0.1.0"
 # and the degree-only commands of the command line never load it.
 _EXPORTS = {
     "bounds": (
-        "BoundSet",
         "CrossoverReport",
-        "GapBoundSet",
         "GapDifferences",
         "MatrixPair",
+        "PairBounds",
         "PairDifferences",
         "PolyMapReport",
         "WeylReport",
         "apply_transform",
         "detect_maximal_crossover",
-        "eigenvalue_bound_set",
-        "gap_bound_set",
         "gap_differences",
+        "pair_bounds",
         "pair_differences",
         "polynomial_spectrum_map",
         "weyl_check",

@@ -11,7 +11,9 @@ with the one shift d = (d_max + d_min)/2 and the one scale
 c = 2/(d_max + d_min) (the paper's d1 = d2 and c1 = c2). The index-wise
 eigenvalue differences are then bounded in closed form by the graph's
 degree extremes alone, as are the differences of eigengaps normalised by
-each matrix's spectral support.
+each matrix's spectral support. ``pair_bounds`` gives each pair its
+closed forms in one ``PairBounds`` record: e, g and, for the Lrw pairs,
+the primed bound.
 """
 
 from __future__ import annotations
@@ -36,33 +38,20 @@ BOUND_SLACK = 1e-9
 _EPS = float(np.finfo(float).eps)
 _EVAL_BLOCK = 1 << 15  # values of the t - node table barycentric_eval holds at once
 
-# The BoundSet field and the GapBoundSet fields (gap, primed gap) that bound each pair.
-_BOUND_FIELDS = {
-    MatrixPair.A_L: ("e_al", "g_al", None),
-    MatrixPair.L_LRW: ("e_llrw", "g_llrw", "g_prime_llrw"),
-    MatrixPair.A_LRW: ("e_alrw", "g_alrw", "g_prime_alrw"),
-}
-
 
 @dataclass(frozen=True)
-class BoundSet:
-    """Closed-form eigenvalue-difference bounds; Lrw entries None when d_min = 0."""
+class PairBounds:
+    """One matrix pair's closed-form bounds in the degree extremes.
 
-    e_al: float
-    e_llrw: Optional[float]
-    e_alrw: Optional[float]
-    e_prime_alrw: Optional[float]
+    ``eigenvalue`` bounds max |delta| and ``gap`` the support-normalised
+    eigengap differences (None when d_max = 0). ``primed`` bounds the
+    primed gap differences of the Lrw pairs: g'(L,Lrw) = e(L,Lrw) and
+    g'(A,Lrw) = e'(A,Lrw); the A_L pair has none.
+    """
 
-
-@dataclass(frozen=True)
-class GapBoundSet:
-    """Closed-form normalised-eigengap bounds; Lrw entries None when d_min = 0."""
-
-    g_al: float
-    g_llrw: Optional[float]
-    g_prime_llrw: Optional[float]
-    g_alrw: Optional[float]
-    g_prime_alrw: Optional[float]
+    eigenvalue: float
+    gap: Optional[float]
+    primed: Optional[float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,65 +169,45 @@ def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np
     return a + b * source.values
 
 
-def eigenvalue_bound_set(ds: DegreeSummary) -> BoundSet:
-    """All closed-form eigenvalue-difference bounds for one degree-extreme class.
+def pair_bounds(ds: DegreeSummary) -> dict[MatrixPair, Optional[PairBounds]]:
+    """Every pair's closed-form bounds for one degree-extreme class; the Lrw pairs None when d_min = 0.
 
-    e(A,L)    = (d_max - d_min)/2
-    e(L,Lrw)  = 2 (d_max - d_min)/(d_max + d_min)
-    e(A,Lrw)  = 3 (d_max - d_min)/(d_max + d_min)
+    e(A,L)    = (d_max - d_min)/2                   g(A,L)   = (d_max - d_min)/(2 d_max)
+    e(L,Lrw)  = 2 (d_max - d_min)/(d_max + d_min)   g(L,Lrw) = 2 (d_max - d_min)/d_max
+    e(A,Lrw)  = 3 (d_max - d_min)/(d_max + d_min)   g(A,Lrw) = (5/2)(d_max - d_min)/d_max
     e'(A,Lrw) = e(A,Lrw) when d_max <= 5 d_min, else 2 (degenerate transform).
 
-    Integer coefficients keep the result exact when the extremes are Fractions.
-    Computed once per summary, which is immutable.
+    Integer coefficients keep every value exact when the extremes are
+    Fractions. Computed once per summary, which is immutable.
     """
-    bounds = ds._memo.get("eigenvalue")
+    bounds = ds._memo.get("pair_bounds")
     if bounds is None:
-        bounds = ds._memo["eigenvalue"] = _eigenvalue_bounds(ds)
+        bounds = ds._memo["pair_bounds"] = _pair_bounds(ds)
     return bounds
 
 
-def _eigenvalue_bounds(ds: DegreeSummary) -> BoundSet:
+def _pair_bounds(ds: DegreeSummary) -> dict[MatrixPair, Optional[PairBounds]]:
     diff = ds.d_max - ds.d_min
-    e_al = diff / 2
+    g_al = diff / (2 * ds.d_max) if ds.d_max > 0 else None
+    bounds = {MatrixPair.A_L: PairBounds(eigenvalue=diff / 2, gap=g_al, primed=None),
+              MatrixPair.L_LRW: None, MatrixPair.A_LRW: None}
     if ds.d_min == 0:  # a sum of positive weights is 0 only for an isolated vertex
-        return BoundSet(e_al=e_al, e_llrw=None, e_alrw=None, e_prime_alrw=None)
+        return bounds
     total = ds.d_max + ds.d_min
     e_llrw = 2 * diff / total
     e_alrw = 3 * diff / total
     e_prime = e_alrw if ds.d_max <= 5 * ds.d_min else 2.0
-    return BoundSet(e_al=e_al, e_llrw=e_llrw, e_alrw=e_alrw, e_prime_alrw=e_prime)
-
-
-def gap_bound_set(ds: DegreeSummary) -> GapBoundSet:
-    """All closed-form normalised-eigengap bounds for one degree-extreme class.
-
-    g(A,L)   = (d_max - d_min)/(2 d_max)
-    g(L,Lrw) = 2 (d_max - d_min)/d_max        g'(L,Lrw) = e(L,Lrw)
-    g(A,Lrw) = (5/2)(d_max - d_min)/d_max     g'(A,Lrw) = e'(A,Lrw)
-
-    Computed once per summary, which is immutable.
-    """
-    bounds = ds._memo.get("gap")
-    if bounds is None:
-        bounds = ds._memo["gap"] = _gap_bounds(ds)
+    bounds[MatrixPair.L_LRW] = PairBounds(eigenvalue=e_llrw, gap=2 * diff / ds.d_max, primed=e_llrw)
+    # 5*diff/2 rounds as 2.5*diff does, short of overflow, and stays exact on Fractions.
+    bounds[MatrixPair.A_LRW] = PairBounds(eigenvalue=e_alrw, gap=5 * diff / 2 / ds.d_max, primed=e_prime)
     return bounds
 
 
-def _gap_bounds(ds: DegreeSummary) -> GapBoundSet:
-    if ds.d_max <= 0:
+def _gap_bound(bounds: PairBounds) -> float:
+    """The pair's eigengap bound g, which an edgeless graph (d_max = 0) does not have."""
+    if bounds.gap is None:
         raise ValueError("gap bounds need d_max > 0")
-    diff = ds.d_max - ds.d_min
-    g_al = diff / (2.0 * ds.d_max)
-    bounds = eigenvalue_bound_set(ds)
-    if bounds.e_llrw is None:
-        return GapBoundSet(g_al=g_al, g_llrw=None, g_prime_llrw=None, g_alrw=None, g_prime_alrw=None)
-    return GapBoundSet(
-        g_al=g_al,
-        g_llrw=2.0 * diff / ds.d_max,
-        g_prime_llrw=bounds.e_llrw,
-        g_alrw=2.5 * diff / ds.d_max,
-        g_prime_alrw=bounds.e_prime_alrw,
-    )
+    return bounds.gap
 
 
 def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
@@ -251,7 +220,7 @@ def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
     source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
     transformed = apply_transform(pair, ds, source)
     deltas = target.values - transformed
-    bound = getattr(eigenvalue_bound_set(ds), _BOUND_FIELDS[pair][0])
+    bound = pair_bounds(ds)[pair].eigenvalue
     return PairDifferences(
         pair=pair,
         transformed=transformed,
@@ -297,12 +266,9 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
     source_gaps = normalized_eigengaps(source)
     target_gaps = normalized_eigengaps(target)
     diffs = np.abs(source_gaps - target_gaps)
-    gb = gap_bound_set(ds)
-    _, gap_field, primed_field = _BOUND_FIELDS[pair]
-    bound = getattr(gb, gap_field)
-    primed_bound = None if primed_field is None else getattr(gb, primed_field)
-    primed_diffs: Optional[np.ndarray] = None
-    primed_within: Optional[bool] = None
+    bounds = pair_bounds(ds)[pair]
+    bound, primed_bound = _gap_bound(bounds), bounds.primed
+    primed_diffs = primed_within = None
     if primed_bound is not None:
         raw_source = source_gaps * source.support_length
         raw_target = target_gaps * target.support_length

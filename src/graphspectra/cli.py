@@ -25,6 +25,7 @@ from .graphs import (
     DegreeSummary,
     Graph,
     _check_graph_c_size,
+    _check_memory,
     _write_edge_list,
     class_tag,
     classify_region,
@@ -84,17 +85,28 @@ def _round2(x, strip: bool) -> str:
     """A Fraction x >= 0 rounded half-up to two decimals; "·" for None."""
     if x is None:
         return "·"
-    cents = math.floor(x * 100 + Fraction(1, 2))
+    cents = (200 * x.numerator + x.denominator) // (2 * x.denominator)  # floor(100 x + 1/2)
     text = f"{cents // 100}.{cents % 100:02d}"
     return text.rstrip("0").rstrip(".") if strip else text
 
 
+def _bound_fields(bounds: dict) -> list[tuple]:
+    """(e, g, primed) of each pair of ``pair_bounds``, in pair order; nulls for a pair without bounds."""
+    return [(None,) * 3 if b is None else (b.eigenvalue, b.gap, b.primed) for b in bounds.values()]
+
+
+def _eigenvalue_bounds(bounds: dict) -> dict:
+    """The e of each pair of ``pair_bounds`` under its JSON name."""
+    (e_al, _, _), (e_llrw, _, _), (e_alrw, _, _) = _bound_fields(bounds)
+    return {"e_AL": e_al, "e_LLrw": e_llrw, "e_ALrw": e_alrw}
+
+
 def _render(d_min, d_max, strip: bool) -> str:
     """The triple (e(A,L), e(L,Lrw), e(A,Lrw)), computed exactly and rounded half-up."""
-    from .bounds import eigenvalue_bound_set
+    from .bounds import pair_bounds
 
-    b = eigenvalue_bound_set(DegreeSummary(Fraction(d_min), Fraction(d_max)))
-    return "(" + ", ".join(_round2(e, strip) for e in (b.e_al, b.e_llrw, b.e_alrw)) + ")"
+    bounds = pair_bounds(DegreeSummary(Fraction(d_min), Fraction(d_max)))
+    return "(" + ", ".join(_round2(e, strip) for e in _eigenvalue_bounds(bounds).values()) + ")"
 
 
 def bound_table_cell(j: int, k: int) -> str:
@@ -102,6 +114,13 @@ def bound_table_cell(j: int, k: int) -> str:
     if j > k:
         return "*"
     return _render(j, k, strip=True)
+
+
+# Peak bytes of `table` per cell of its (dmin_max + 1) x dmax_max grid: tracemalloc
+# read 1.6-2.2 KB with --json (cell dicts, then JSON text) and 73-187 bytes without,
+# on grids from 1 x 20000 to 101 x 1000 (Python 3.11; one column costs the most).
+_TABLE_JSON_CELL_BYTES = 2300
+_TABLE_TEXT_CELL_BYTES = 200
 
 
 def _csv_float(x: float) -> str:
@@ -167,10 +186,9 @@ def _cmd_spectra(args) -> int:
     return 0
 
 
-def _per_pair(summary, g: Graph, lrw_defined: bool) -> dict:
-    """summary(pair, g) keyed by pair; the Lrw pairs are null when d_min = 0."""
-    return {pair.value: summary(pair, g) if pair is MatrixPair.A_L or lrw_defined else None
-            for pair in MatrixPair}
+def _per_pair(summary, g: Graph, bounds: dict) -> dict:
+    """summary(pair, g) keyed by pair; null for a pair without bounds (the Lrw pairs when d_min = 0)."""
+    return {pair.value: None if b is None else summary(pair, g) for pair, b in bounds.items()}
 
 
 def _pair_summary(pair: MatrixPair, g: Graph) -> dict:
@@ -187,23 +205,18 @@ def _pair_summary(pair: MatrixPair, g: Graph) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import eigenvalue_bound_set
+    from .bounds import pair_bounds
 
     g = load_graph(Path(args.file).read_text())
     ds = degree_summary(g)
-    bounds = eigenvalue_bound_set(ds)
-    pairs = _per_pair(_pair_summary, g, lrw_defined=bounds.e_llrw is not None)
+    bounds = pair_bounds(ds)
+    _, _, (_, _, e_prime_alrw) = _bound_fields(bounds)
     _print_json({
         "d_min": float(ds.d_min),
         "d_max": float(ds.d_max),
-        "bounds": {
-            "e_AL": bounds.e_al,
-            "e_LLrw": bounds.e_llrw,
-            "e_ALrw": bounds.e_alrw,
-            "e_prime_ALrw": bounds.e_prime_alrw,
-        },
+        "bounds": {**_eigenvalue_bounds(bounds), "e_prime_ALrw": e_prime_alrw},
         "rendered": _render(ds.d_min, ds.d_max, strip=False),
-        "pairs": pairs,
+        "pairs": _per_pair(_pair_summary, g, bounds),
     })
     return 0
 
@@ -225,23 +238,23 @@ def _gap_summary(pair: MatrixPair, g: Graph) -> dict:
 
 
 def _cmd_gaps(args) -> int:
-    from .bounds import gap_bound_set
+    from .bounds import _gap_bound, pair_bounds
 
     g = load_graph(Path(args.file).read_text())
     ds = degree_summary(g)
-    gaps = gap_bound_set(ds)
-    pairs = _per_pair(_gap_summary, g, lrw_defined=gaps.g_llrw is not None)
-    _print_json({
+    bounds = pair_bounds(ds)
+    _, (_, g_llrw, g_prime_llrw), (_, g_alrw, g_prime_alrw) = _bound_fields(bounds)
+    _print_json({  # evaluated in order: an edgeless graph ends at g_AL, before any spectrum
         "d_min": float(ds.d_min),
         "d_max": float(ds.d_max),
         "gap_bounds": {
-            "g_AL": gaps.g_al,
-            "g_LLrw": gaps.g_llrw,
-            "g_prime_LLrw": gaps.g_prime_llrw,
-            "g_ALrw": gaps.g_alrw,
-            "g_prime_ALrw": gaps.g_prime_alrw,
+            "g_AL": _gap_bound(bounds[MatrixPair.A_L]),
+            "g_LLrw": g_llrw,
+            "g_prime_LLrw": g_prime_llrw,
+            "g_ALrw": g_alrw,
+            "g_prime_ALrw": g_prime_alrw,
         },
-        "pairs": pairs,
+        "pairs": _per_pair(_gap_summary, g, bounds),
     })
     return 0
 
@@ -251,24 +264,16 @@ def _cmd_table(args) -> int:
         raise ValueError("table needs --dmin-max >= 0 and --dmax-max >= 1")
     dmins = range(0, args.dmin_max + 1)
     dmaxs = range(1, args.dmax_max + 1)
+    cells = (args.dmin_max + 1) * args.dmax_max
+    _check_memory(cells * (_TABLE_JSON_CELL_BYTES if args.json else _TABLE_TEXT_CELL_BYTES),
+                  f"a table of {cells:,} cells needs about {{}} GiB")
     if args.json:
-        from .bounds import eigenvalue_bound_set
+        from .bounds import pair_bounds
 
-        cells = []
-        for k in dmaxs:
-            for j in dmins:
-                if j > k:
-                    continue
-                bounds = eigenvalue_bound_set(DegreeSummary(float(j), float(k)))
-                cells.append({
-                    "d_min": j,
-                    "d_max": k,
-                    "e_AL": bounds.e_al,
-                    "e_LLrw": bounds.e_llrw,
-                    "e_ALrw": bounds.e_alrw,
-                    "rendered": bound_table_cell(j, k),
-                })
-        _print_json({"cells": cells})
+        _print_json({"cells": [
+            {"d_min": j, "d_max": k, **_eigenvalue_bounds(pair_bounds(DegreeSummary(float(j), float(k)))),
+             "rendered": bound_table_cell(j, k)}
+            for k in dmaxs for j in dmins if j <= k]})
         return 0
     grid = [[bound_table_cell(j, k) for j in dmins] for k in dmaxs]
     widths = [max(len(grid[r][c]) for r in range(len(grid))) for c in range(len(dmins))]
@@ -400,14 +405,14 @@ def _plotdata_csv(name: str, pair: MatrixPair, figure: str, raw: np.ndarray,
 
 
 def _cmd_plotdata(args) -> int:
-    from .bounds import eigenvalue_bound_set, gap_differences, pair_differences
+    from .bounds import gap_differences, pair_bounds, pair_differences
 
     g = load_graph(Path(args.file).read_text())
     pair = MatrixPair(args.pair)
     if args.figure == "eigs":
         d = pair_differences(pair, g)
-        inner = (eigenvalue_bound_set(degree_summary(g)).e_prime_alrw
-                 if pair is MatrixPair.A_LRW else None)
+        # e'(A,Lrw) is the inner interval; the primed bound of L_Lrw is its e itself.
+        inner = pair_bounds(degree_summary(g))[pair].primed if pair is MatrixPair.A_LRW else None
         columns = (d.target, d.transformed, d.bound, inner)
     else:
         gd = gap_differences(pair, g)

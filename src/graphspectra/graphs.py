@@ -189,13 +189,13 @@ class DegreeSummary:
     """The degree extremes (d_min, d_max) of a graph or of a degree-extreme class.
 
     The bounds depend on the extremes alone; a graph's degree vector is
-    ``Graph.degrees``. Immutable, so the bound sets computed from the
+    ``Graph.degrees``. Immutable, so the pair bounds computed from the
     extremes are memoised on the instance.
     """
 
     d_min: float
     d_max: float
-    # Bound-set name -> value, filled by bounds.eigenvalue_bound_set and gap_bound_set.
+    # One entry, "pair_bounds": every pair's PairBounds, filled by bounds.pair_bounds.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -251,20 +251,31 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
+def _gib(nbytes: int) -> str:
+    """nbytes in GiB to one decimal, rounded as '.1f' rounds, exactly: a size may pass the float range."""
+    from fractions import Fraction
+
+    tenths = round(Fraction(10 * nbytes, 2**30))
+    return f"{tenths // 10:,}.{tenths % 10}"
+
+
+def _check_memory(need: int, what: str, error: type = ValueError) -> None:
+    """Raise error when need bytes exceed physical memory; its message is what, with
+    {} filled in as need in GiB, then the memory."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise error(what.format(_gib(need)) + f", more than the {_gib(memory)} GiB of physical memory")
+
+
 def _check_vertex_count(n: int, lineno: Optional[int] = None) -> None:
     """Reject an n whose dense n x n float64 matrix exceeds physical memory.
 
     Spectra need that matrix, so such a graph can never be analysed; saying
     so up front beats an allocation failure (or the OOM killer) later.
     """
-    memory = _physical_memory()
-    need = 8 * n * n
-    if memory is not None and need > memory:
-        message = (f"{n} vertices need a {need / 2**30:,.1f} GiB dense matrix, "
-                   f"more than the {memory / 2**30:,.1f} GiB of physical memory")
-        if lineno is None:
-            raise ValueError(message)
-        raise GraphFormatError(f"line {lineno}: {message}")
+    where = "" if lineno is None else f"line {lineno}: "
+    _check_memory(8 * n * n, f"{where}{n} vertices need a {{}} GiB dense matrix",
+                  ValueError if lineno is None else GraphFormatError)
 
 
 # Bytes a generated graph holds per edge at its peak: the pair tuples and
@@ -278,11 +289,7 @@ def _check_generated_size(n: int, m: int) -> None:
     """Reject a generated graph of n vertices and m edges before any edge is
     built: its dense matrix, or its m edges, would exceed physical memory."""
     _check_vertex_count(n)
-    memory = _physical_memory()
-    need = _BYTES_PER_GENERATED_EDGE * m
-    if memory is not None and need > memory:
-        raise ValueError(f"{m} edges need about {need / 2**30:,.1f} GiB to build, "
-                         f"more than the {memory / 2**30:,.1f} GiB of physical memory")
+    _check_memory(_BYTES_PER_GENERATED_EDGE * m, f"{m} edges need about {{}} GiB to build")
 
 
 def _check_graph_c_size(k: int) -> None:

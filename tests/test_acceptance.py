@@ -23,12 +23,11 @@ from graphspectra import (
     connected_components,
     degree_summary,
     detect_maximal_crossover,
-    eigenvalue_bound_set,
-    gap_bound_set,
     gap_differences,
     gen_complete,
     gen_graph_c,
     normalized_eigengaps,
+    pair_bounds,
     pair_differences,
     polynomial_spectrum_map,
     spectrum,
@@ -42,6 +41,7 @@ from graphspectra.graphs import DegreeSummary
 A = RepresentationKind.ADJACENCY
 L = RepresentationKind.LAPLACIAN
 LRW = RepresentationKind.NORMALIZED_LAPLACIAN
+AL, LLRW, ALRW = MatrixPair
 
 
 def criterion(label):
@@ -68,10 +68,10 @@ class TestAcceptance:
     @criterion("01 karate bounds (8.00, 1.78, 2.67), region normal")
     def test_karate_bounds(self, karate):
         ds = degree_summary(karate)
-        bounds = eigenvalue_bound_set(ds)
-        assert abs(bounds.e_al - 8.00) <= 0.005
-        assert abs(bounds.e_llrw - 1.78) <= 0.005
-        assert abs(bounds.e_alrw - 2.67) <= 0.005
+        bounds = pair_bounds(ds)
+        assert abs(bounds[AL].eigenvalue - 8.00) <= 0.005
+        assert abs(bounds[LLRW].eigenvalue - 1.78) <= 0.005
+        assert abs(bounds[ALRW].eigenvalue - 2.67) <= 0.005
         assert classify_region(ds) is Region.NORMAL
 
     @criterion("02 bound table reproduces every printed cell")
@@ -100,10 +100,10 @@ class TestAcceptance:
         # rendered cells come from the same closed forms as the float bound set
         for k in range(1, 8):
             for j in range(1, min(k, 5) + 1):
-                bounds = eigenvalue_bound_set(summary(j, k))
-                assert bounds.e_al == float(Fraction(k - j, 2))
-                assert bounds.e_llrw == float(Fraction(2 * (k - j), k + j))
-                assert bounds.e_alrw == float(Fraction(3 * (k - j), k + j))
+                bounds = pair_bounds(summary(j, k))
+                assert bounds[AL].eigenvalue == float(Fraction(k - j, 2))
+                assert bounds[LLRW].eigenvalue == float(Fraction(2 * (k - j), k + j))
+                assert bounds[ALRW].eigenvalue == float(Fraction(3 * (k - j), k + j))
 
     @criterion("03 region transitions and bound orderings up to d_max 20")
     def test_region_transitions(self):
@@ -124,8 +124,8 @@ class TestAcceptance:
                     assert region is Region.ITALIC
                 else:
                     assert region is Region.NORMAL
-                bounds = eigenvalue_bound_set(summary(j, k))
-                triple = (bounds.e_al, bounds.e_llrw, bounds.e_alrw)
+                bounds = pair_bounds(summary(j, k))
+                triple = (bounds[AL].eigenvalue, bounds[LLRW].eigenvalue, bounds[ALRW].eigenvalue)
                 if region is Region.REGULAR:
                     assert triple == (0.0, 0.0, 0.0)
                 elif region is Region.BOLD:
@@ -227,7 +227,7 @@ class TestAcceptance:
             report = detect_maximal_crossover(diffs.deltas, diffs.bound, tol=1e-6)
             assert report.indices == (1, 19), f"C({k}) crossovers {report.indices}"
             gaps = gap_differences(MatrixPair.A_L, g)
-            g_al = gap_bound_set(degree_summary(g)).g_al
+            g_al = pair_bounds(degree_summary(g))[AL].gap
             assert abs(gaps.diffs[0] - g_al) <= 1e-9
             assert abs(gaps.diffs[18] - g_al) <= 1e-9
 

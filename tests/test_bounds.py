@@ -10,13 +10,14 @@ Ground truth used below:
 """
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphspectra import (
@@ -29,14 +30,13 @@ from graphspectra import (
     classify_region,
     degree_summary,
     detect_maximal_crossover,
-    eigenvalue_bound_set,
-    gap_bound_set,
     gap_differences,
     gen_complete,
     gen_graph_c,
     gen_star,
     load_edge_list,
     normalized_eigengaps,
+    pair_bounds,
     pair_differences,
     polynomial_spectrum_map,
     spectrum,
@@ -50,6 +50,7 @@ from graphspectra.spectra import Spectrum
 A = RepresentationKind.ADJACENCY
 L = RepresentationKind.LAPLACIAN
 LRW = RepresentationKind.NORMALIZED_LAPLACIAN
+AL, LLRW, ALRW = MatrixPair
 
 
 def summary(d_min, d_max):
@@ -197,73 +198,160 @@ class TestApplyTransform:
 
 class TestEigenvalueBoundSet:
     def test_class_1_17(self):
-        b = eigenvalue_bound_set(summary(1, 17))
-        assert b.e_al == 8.0
-        assert b.e_llrw == pytest.approx(16 / 9)
-        assert b.e_alrw == pytest.approx(8 / 3)
-        assert b.e_prime_alrw == 2.0  # 17 > 5 * 1
+        b = pair_bounds(summary(1, 17))
+        assert b[AL].eigenvalue == 8.0
+        assert b[LLRW].eigenvalue == pytest.approx(16 / 9)
+        assert b[ALRW].eigenvalue == pytest.approx(8 / 3)
+        assert b[ALRW].primed == 2.0  # 17 > 5 * 1
 
     def test_class_2_4(self):
-        b = eigenvalue_bound_set(summary(2, 4))
-        assert (b.e_al, b.e_alrw) == (1.0, 1.0)
-        assert b.e_llrw == pytest.approx(2 / 3)
-        assert b.e_prime_alrw == 1.0  # 4 <= 5 * 2
+        b = pair_bounds(summary(2, 4))
+        assert (b[AL].eigenvalue, b[ALRW].eigenvalue) == (1.0, 1.0)
+        assert b[LLRW].eigenvalue == pytest.approx(2 / 3)
+        assert b[ALRW].primed == 1.0  # 4 <= 5 * 2
 
     def test_regular_all_zero(self):
         for d in (1, 3, 7):
-            b = eigenvalue_bound_set(summary(d, d))
-            assert (b.e_al, b.e_llrw, b.e_alrw, b.e_prime_alrw) == (0.0, 0.0, 0.0, 0.0)
+            b = pair_bounds(summary(d, d))
+            assert (b[AL].eigenvalue, b[LLRW].eigenvalue, b[ALRW].eigenvalue,
+                    b[ALRW].primed) == (0.0, 0.0, 0.0, 0.0)
 
     def test_isolated_vertex_class(self):
-        b = eigenvalue_bound_set(summary(0, 3))
-        assert b.e_al == 1.5
-        assert b.e_llrw is None and b.e_alrw is None and b.e_prime_alrw is None
+        b = pair_bounds(summary(0, 3))
+        assert b[AL].eigenvalue == 1.5
+        assert b[LLRW] is None and b[ALRW] is None
 
     def test_isolation_is_exact_on_fractions(self):
         """Only d_min = 0 drops the Lrw bounds, however small d_min is."""
-        zero = eigenvalue_bound_set(DegreeSummary(Fraction(0), Fraction(3)))
-        assert zero.e_al == Fraction(3, 2) and zero.e_llrw is None
-        tiny = eigenvalue_bound_set(DegreeSummary(Fraction(1, 10**13), Fraction(2, 10**13)))
-        assert (tiny.e_llrw, tiny.e_alrw) == (Fraction(2, 3), Fraction(1))
+        zero = pair_bounds(DegreeSummary(Fraction(0), Fraction(3)))
+        assert zero[AL].eigenvalue == Fraction(3, 2) and zero[LLRW] is None
+        tiny = pair_bounds(DegreeSummary(Fraction(1, 10**13), Fraction(2, 10**13)))
+        assert (tiny[LLRW].eigenvalue, tiny[ALRW].eigenvalue) == (Fraction(2, 3), Fraction(1))
 
     def test_ranges(self):
         for j in range(1, 21):
             for k in range(j, 21):
-                b = eigenvalue_bound_set(summary(j, k))
-                assert 0.0 <= b.e_llrw <= 2.0
-                assert 0.0 <= b.e_alrw <= 3.0
+                b = pair_bounds(summary(j, k))
+                assert 0.0 <= b[LLRW].eigenvalue <= 2.0
+                assert 0.0 <= b[ALRW].eigenvalue <= 3.0
 
     def test_prime_vs_plain(self):
         """e' equals e exactly when d_max <= 5 d_min, otherwise e' = 2 < e."""
         for j in range(1, 21):
             for k in range(j, 21):
-                b = eigenvalue_bound_set(summary(j, k))
-                assert b.e_prime_alrw <= b.e_alrw + 1e-12
+                b = pair_bounds(summary(j, k))
+                assert b[ALRW].primed <= b[ALRW].eigenvalue + 1e-12
                 if k <= 5 * j:
-                    assert b.e_prime_alrw == b.e_alrw
+                    assert b[ALRW].primed == b[ALRW].eigenvalue
                 else:
-                    assert b.e_prime_alrw == 2.0 < b.e_alrw
+                    assert b[ALRW].primed == 2.0 < b[ALRW].eigenvalue
 
 
 class TestGapBoundSet:
     def test_class_1_17(self):
-        g = gap_bound_set(summary(1, 17))
-        assert g.g_al == pytest.approx(16 / 34)
-        assert g.g_llrw == pytest.approx(32 / 17)
-        assert g.g_alrw == pytest.approx(40 / 17)
-        assert g.g_prime_llrw == pytest.approx(16 / 9)
-        assert g.g_prime_alrw == 2.0
+        g = pair_bounds(summary(1, 17))
+        assert g[AL].gap == pytest.approx(16 / 34)
+        assert g[LLRW].gap == pytest.approx(32 / 17)
+        assert g[ALRW].gap == pytest.approx(40 / 17)
+        assert g[LLRW].primed == pytest.approx(16 / 9)
+        assert g[ALRW].primed == 2.0
 
     def test_primed_never_larger(self):
         for j in range(1, 21):
             for k in range(j, 21):
-                g = gap_bound_set(summary(j, k))
-                assert g.g_prime_llrw <= g.g_llrw + 1e-12
-                assert g.g_prime_alrw <= g.g_alrw + 1e-12
+                g = pair_bounds(summary(j, k))
+                assert g[LLRW].primed <= g[LLRW].gap + 1e-12
+                assert g[ALRW].primed <= g[ALRW].gap + 1e-12
 
     def test_regular_all_zero(self):
-        g = gap_bound_set(summary(4, 4))
-        assert (g.g_al, g.g_llrw, g.g_prime_llrw, g.g_alrw, g.g_prime_alrw) == (0,) * 5
+        g = pair_bounds(summary(4, 4))
+        assert (g[AL].gap, g[LLRW].gap, g[LLRW].primed, g[ALRW].gap, g[ALRW].primed) == (0,) * 5
+
+
+def _closed_forms(d_min, d_max):
+    """Each pair's (e, g, primed) as the paper writes them; None for an Lrw pair when d_min = 0.
+
+    Fraction(5, 2) times a float is 2.5 times it, so one form serves floats and Fractions.
+    """
+    diff = d_max - d_min
+    forms = {AL: (diff / 2, diff / (2 * d_max) if d_max else None, None), LLRW: None, ALRW: None}
+    if d_min:
+        e_llrw, e_alrw = 2 * diff / (d_max + d_min), 3 * diff / (d_max + d_min)
+        forms[LLRW] = (e_llrw, 2 * diff / d_max, e_llrw)
+        forms[ALRW] = (e_alrw, Fraction(5, 2) * diff / d_max, e_alrw if d_max <= 5 * d_min else 2)
+    return forms
+
+
+def _as_tuples(bounds):
+    return {pair: None if b is None else (b.eigenvalue, b.gap, b.primed) for pair, b in bounds.items()}
+
+
+def _float_bits(values):
+    """Each float as its hex string, so that equality is bit for bit; None stays None."""
+    return None if values is None else tuple(None if v is None else float(v).hex() for v in values)
+
+
+# Degree extremes: 0, subnormal and normal floats, and exact rationals.
+_FLOAT_DEGREES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0**-1022),
+                           st.floats(min_value=0.0, max_value=1e300))
+_FRACTION_DEGREES = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+
+
+class TestPairBoundsClosedForms:
+    """pair_bounds equals the paper's closed forms, bit for bit on floats and
+    exactly on Fractions, with the None pattern and the primed bounds of the
+    paper, and is invariant under scaling the extremes by a power of two."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_FLOAT_DEGREES, min_size=2, max_size=2))
+    @example([0.0, 0.0])
+    @example([5e-324, 5e-324 * 7])
+    @example([1.0000000000000002e-308, 1e-308])
+    @example([0.1, 0.5])  # d_max = 5 d_min as floats: e' = e(A,Lrw)
+    def test_float_extremes(self, extremes):
+        d_min, d_max = sorted(extremes)
+        got = _as_tuples(bounds._pair_bounds(DegreeSummary(d_min, d_max)))
+        want = _closed_forms(d_min, d_max)
+        assert {p: _float_bits(v) for p, v in got.items()} == {p: _float_bits(v) for p, v in want.items()}
+        self._assert_shape(got, d_min, d_max)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_FRACTION_DEGREES, min_size=2, max_size=2))
+    @example([Fraction(0), Fraction(0)])
+    @example([Fraction(5, 7), Fraction(12, 7)])
+    def test_fraction_extremes(self, extremes):
+        d_min, d_max = sorted(extremes)
+        got = _as_tuples(bounds._pair_bounds(DegreeSummary(d_min, d_max)))
+        assert got == _closed_forms(d_min, d_max)
+        for values in got.values():  # exact: no value fell back to a float, but the constant e' = 2
+            for v in values or ():
+                assert v is None or isinstance(v, Fraction) or v == 2
+        self._assert_shape(got, d_min, d_max)
+
+    @staticmethod
+    def _assert_shape(got, d_min, d_max):
+        assert (got[AL][1] is None) == (d_max == 0) and got[AL][2] is None
+        assert (got[LLRW] is None) == (got[ALRW] is None) == (d_min == 0)
+        if d_min:
+            assert got[LLRW][2] is got[LLRW][0]  # g'(L,Lrw) is e(L,Lrw), the same value
+            assert got[ALRW][2] == (got[ALRW][0] if d_max <= 5 * d_min else 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=2.0**-900, max_value=1e300)),
+                    min_size=2, max_size=2),
+           st.integers(min_value=1, max_value=120))
+    def test_power_of_two_scaling(self, extremes, k):
+        """s = 2^-k scales e(A,L) by s exactly and leaves every ratio and e' bit-identical,
+        while every nonzero extreme, difference and half-difference stays normal."""
+        d_min, d_max = sorted(extremes)
+        scaled = [math.ldexp(d, -k) for d in (d_min, d_max, (d_max - d_min) / 2)]
+        assume(all(v == 0.0 or v >= sys.float_info.min for v in scaled))
+        before = _as_tuples(pair_bounds(DegreeSummary(d_min, d_max)))
+        after = _as_tuples(pair_bounds(DegreeSummary(scaled[0], scaled[1])))
+        assert after[AL][0] == math.ldexp(before[AL][0], -k)
+        before[AL] = before[AL][1:]
+        after[AL] = after[AL][1:]
+        assert {p: _float_bits(v) for p, v in after.items()} == {p: _float_bits(v) for p, v in before.items()}
 
 
 class TestClassifyRegion:
@@ -276,49 +364,51 @@ class TestClassifyRegion:
         assert classify_region(summary(3, 3)) is Region.REGULAR
 
     def test_bold_ordering_values(self):
-        b = eigenvalue_bound_set(summary(1, 2))
-        assert b.e_al < b.e_llrw < b.e_alrw
-        assert (b.e_al, b.e_alrw) == (0.5, 1.0)
-        assert b.e_llrw == pytest.approx(2 / 3)
+        b = pair_bounds(summary(1, 2))
+        assert b[AL].eigenvalue < b[LLRW].eigenvalue < b[ALRW].eigenvalue
+        assert (b[AL].eigenvalue, b[ALRW].eigenvalue) == (0.5, 1.0)
+        assert b[LLRW].eigenvalue == pytest.approx(2 / 3)
 
     def test_underlined_equality(self):
-        b = eigenvalue_bound_set(summary(1, 3))
-        assert b.e_al == b.e_llrw == 1.0
-        assert b.e_alrw == 1.5
+        b = pair_bounds(summary(1, 3))
+        assert b[AL].eigenvalue == b[LLRW].eigenvalue == 1.0
+        assert b[ALRW].eigenvalue == 1.5
 
     def test_ordering_matches_computed_bounds(self):
         """The predicted ordering string must hold for the actual bound values."""
         for j in range(1, 21):
             for k in range(j, 21):
                 region = classify_region(summary(j, k))
-                b = eigenvalue_bound_set(summary(j, k))
+                b = pair_bounds(summary(j, k))
                 if region is Region.REGULAR:
-                    assert b.e_al == b.e_llrw == b.e_alrw == 0.0
+                    assert b[AL].eigenvalue == b[LLRW].eigenvalue == b[ALRW].eigenvalue == 0.0
                 elif region is Region.BOLD:
-                    assert b.e_al < b.e_llrw < b.e_alrw
+                    assert b[AL].eigenvalue < b[LLRW].eigenvalue < b[ALRW].eigenvalue
                 elif region is Region.UNDERLINED:
-                    assert b.e_al == pytest.approx(b.e_llrw) and b.e_llrw < b.e_alrw
+                    assert b[AL].eigenvalue == pytest.approx(b[LLRW].eigenvalue)
+                    assert b[LLRW].eigenvalue < b[ALRW].eigenvalue
                 elif region is Region.TELETYPE:
-                    assert b.e_llrw < b.e_al < b.e_alrw
+                    assert b[LLRW].eigenvalue < b[AL].eigenvalue < b[ALRW].eigenvalue
                 elif region is Region.ITALIC:
-                    assert b.e_llrw < b.e_al and b.e_al == pytest.approx(b.e_alrw)
+                    assert b[LLRW].eigenvalue < b[AL].eigenvalue
+                    assert b[AL].eigenvalue == pytest.approx(b[ALRW].eigenvalue)
                 else:
-                    assert b.e_llrw < b.e_alrw < b.e_al
+                    assert b[LLRW].eigenvalue < b[ALRW].eigenvalue < b[AL].eigenvalue
 
     def test_table_monotone_in_rows_and_columns(self):
         """Bounds shrink along rows (growing d_min) and grow down columns."""
         for k in range(1, 21):
             for j in range(1, k):
-                wide, narrow = eigenvalue_bound_set(summary(j, k)), eigenvalue_bound_set(summary(j + 1, k))
-                assert narrow.e_al <= wide.e_al
-                assert narrow.e_llrw <= wide.e_llrw + 1e-12
-                assert narrow.e_alrw <= wide.e_alrw + 1e-12
+                wide, narrow = pair_bounds(summary(j, k)), pair_bounds(summary(j + 1, k))
+                assert narrow[AL].eigenvalue <= wide[AL].eigenvalue
+                assert narrow[LLRW].eigenvalue <= wide[LLRW].eigenvalue + 1e-12
+                assert narrow[ALRW].eigenvalue <= wide[ALRW].eigenvalue + 1e-12
         for j in range(1, 20):
             for k in range(j, 20):
-                low, high = eigenvalue_bound_set(summary(j, k)), eigenvalue_bound_set(summary(j, k + 1))
-                assert low.e_al <= high.e_al
-                assert low.e_llrw <= high.e_llrw + 1e-12
-                assert low.e_alrw <= high.e_alrw + 1e-12
+                low, high = pair_bounds(summary(j, k)), pair_bounds(summary(j, k + 1))
+                assert low[AL].eigenvalue <= high[AL].eigenvalue
+                assert low[LLRW].eigenvalue <= high[LLRW].eigenvalue + 1e-12
+                assert low[ALRW].eigenvalue <= high[ALRW].eigenvalue + 1e-12
 
 
 class TestPairDifferences:
@@ -414,7 +504,7 @@ class TestGapDifferences:
 
 
 class TestFactsComputedOnce:
-    """Eigengaps are computed once per spectrum and the bound sets once per
+    """Eigengaps are computed once per spectrum and the pair bounds once per
     degree summary, however many pairs an analysis checks."""
 
     @staticmethod
@@ -427,15 +517,17 @@ class TestFactsComputedOnce:
             gap_differences(pair, g)
 
     def test_evaluations_per_analysis(self):
-        g = random_graph(np.random.default_rng(21), 32)
-        assert degree_summary(g).d_min > 0
+        rng = np.random.default_rng(21)
+        g, h = random_graph(rng, 32), random_graph(rng, 32)
+        assert degree_summary(g).d_min > 0 and degree_summary(h).d_min > 0
         with mock.patch.object(spectra, "_eigengaps", wraps=spectra._eigengaps) as gaps, \
-                mock.patch.object(bounds, "_eigenvalue_bounds", wraps=bounds._eigenvalue_bounds) as eig, \
-                mock.patch.object(bounds, "_gap_bounds", wraps=bounds._gap_bounds) as gap:
+                mock.patch.object(bounds, "_pair_bounds", wraps=bounds._pair_bounds) as pb:
             self._analyse(g)
-            assert (gaps.call_count, eig.call_count, gap.call_count) == (3, 1, 1)
+            assert (gaps.call_count, pb.call_count) == (3, 1)
             self._analyse(g)  # a second analysis of the same graph computes none again
-            assert (gaps.call_count, eig.call_count, gap.call_count) == (3, 1, 1)
+            assert (gaps.call_count, pb.call_count) == (3, 1)
+            self._analyse(h)  # another graph has its own summary, evaluated once
+            assert (gaps.call_count, pb.call_count) == (6, 2)
 
     def test_memoised_gaps_are_the_computed_ones(self, karate):
         for kind in RepresentationKind:

@@ -107,6 +107,20 @@ class TestGen:
         assert err.startswith("error: ") and "vertices need a " in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "star", str(10**200)),
+        ("sweep", "--graphc", f"3..{10**200}"),
+        ("info", "{file}"),
+    ])
+    def test_size_past_the_float_range_is_one_error_line(self, capsys, tmp_path, argv):
+        """The size in GiB is formatted exactly, so a 200-digit size is no OverflowError."""
+        graph_file = tmp_path / "huge.txt"
+        graph_file.write_text(f"nodes {10**200}\n0 1\n")
+        code, out, err = run(capsys, *(arg.format(file=graph_file) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and " GiB dense matrix, more than the " in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv, edges", [
         (("gen", "complete", "1500"), 1124250),
         (("gen", "graphc", "1500"), 1124259),
@@ -324,6 +338,31 @@ class TestTable:
         assert cells[(4, 5)]["e_LLrw"] == pytest.approx(2 / 9)
         assert cells[(0, 7)]["e_LLrw"] is None
         assert cells[(3, 3)]["e_AL"] == 0.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--json", "--dmin-max", "200", "--dmax-max", "1000"),
+         "a table of 201,000 cells needs about 0.4 GiB"),
+        (("--dmin-max", "999", "--dmax-max", "1000"), "a table of 1,000,000 cells needs about 0.2 GiB"),
+    ])
+    def test_oversized_grid_is_one_error_line_before_any_cell(self, capsys, monkeypatch, argv, message):
+        """128 MiB of memory holds neither grid, so no cell is computed."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+        def no_cell(j, k):
+            raise AssertionError(f"cell ({j}, {k}) computed")
+
+        monkeypatch.setattr(cli, "bound_table_cell", no_cell)
+        assert run(capsys, "table", *argv) == (
+            1, "", f"error: {message}, more than the 0.1 GiB of physical memory\n")
+
+    def test_grid_beyond_the_float_range_is_one_error_line(self, capsys, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        code, out, err = run(capsys, "table", "--dmin-max", "9", "--dmax-max", str(10**400))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: a table of {10**401:,} cells needs about ")
+        assert err.endswith(" GiB, more than the 0.1 GiB of physical memory\n")
 
 
 class TestRegion:

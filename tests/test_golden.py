@@ -6,7 +6,10 @@ isolated vertex, plus the ``gen`` generators and ``sweep`` over C(3)..C(6).
 ``spectra`` is pinned on karate for every kind (CSV, and JSON for ``Lrw``).
 The ``polymap`` goldens on the weighted C4 and the 6-cycle are stable maps,
 so they pin the interpolation itself; on the 6-cycle six eigenvalues merge
-into four nodes. The ``cluster`` goldens cover karate
+into four nodes. On the weighted C4, whose degree extremes 5/7 and 12/7
+are not integers, ``bounds``, ``gaps``, ``plotdata --figure eigs --pair
+A_Lrw`` and ``plotdata --figure gaps --pair L_Lrw`` are pinned as well.
+The ``cluster`` goldens cover karate
 at k = 2 and 4 on every kind (and ``--kind A --k 2 --truth``), C(18) at
 k = 10 on every kind, ``L`` at k = 19 and ``Lrw`` at k = 27, and one run
 at ``--seed 7 --restarts 3``; each k takes whole eigenspaces, so the
