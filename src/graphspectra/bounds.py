@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np
     return a + b * source.values
 
 
-def pair_bounds(ds: DegreeSummary) -> dict[MatrixPair, Optional[PairBounds]]:
+def pair_bounds(ds: DegreeSummary) -> Mapping[MatrixPair, Optional[PairBounds]]:
     """Every pair's closed-form bounds for one degree-extreme class; the Lrw pairs None when d_min = 0.
 
     e(A,L)    = (d_max - d_min)/2                   g(A,L)   = (d_max - d_min)/(2 d_max)
@@ -178,11 +179,12 @@ def pair_bounds(ds: DegreeSummary) -> dict[MatrixPair, Optional[PairBounds]]:
     e'(A,Lrw) = e(A,Lrw) when d_max <= 5 d_min, else 2 (degenerate transform).
 
     Integer coefficients keep every value exact when the extremes are
-    Fractions. Computed once per summary, which is immutable.
+    Fractions. Computed once per summary, which is immutable, and shared
+    as a read-only mapping.
     """
     bounds = ds._memo.get("pair_bounds")
     if bounds is None:
-        bounds = ds._memo["pair_bounds"] = _pair_bounds(ds)
+        bounds = ds._memo["pair_bounds"] = MappingProxyType(_pair_bounds(ds))
     return bounds
 
 

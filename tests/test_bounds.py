@@ -302,6 +302,12 @@ class TestPairBoundsClosedForms:
     exactly on Fractions, with the None pattern and the primed bounds of the
     paper, and is invariant under scaling the extremes by a power of two."""
 
+    def test_shared_and_read_only(self):
+        ds = summary(1, 17)
+        assert pair_bounds(ds) is pair_bounds(ds)
+        with pytest.raises(TypeError):
+            pair_bounds(ds)[AL] = None
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(_FLOAT_DEGREES, min_size=2, max_size=2))
     @example([0.0, 0.0])
