@@ -101,19 +101,34 @@ def _eigenvalue_bounds(bounds: dict) -> dict:
     return {"e_AL": e_al, "e_LLrw": e_llrw, "e_ALrw": e_alrw}
 
 
-def _render(d_min, d_max, strip: bool) -> str:
-    """The triple (e(A,L), e(L,Lrw), e(A,Lrw)), computed exactly and rounded half-up."""
+def _exact_bounds(d_min, d_max) -> dict:
+    """``pair_bounds`` of the extremes taken as Fractions, so every bound is exact."""
     from .bounds import pair_bounds
 
-    bounds = pair_bounds(DegreeSummary(Fraction(d_min), Fraction(d_max)))
-    return "(" + ", ".join(_round2(e, strip) for e in _eigenvalue_bounds(bounds).values()) + ")"
+    return pair_bounds(DegreeSummary(Fraction(d_min), Fraction(d_max)))
+
+
+def _render(exact: dict, strip: bool) -> str:
+    """The triple (e(A,L), e(L,Lrw), e(A,Lrw)) of exact bounds, rounded half-up."""
+    return "(" + ", ".join(_round2(e, strip) for e in _eigenvalue_bounds(exact).values()) + ")"
 
 
 def bound_table_cell(j: int, k: int) -> str:
     """Rendered bound triple (e(A,L), e(L,Lrw), e(A,Lrw)) for the class (j, k)."""
     if j > k:
         return "*"
-    return _render(j, k, strip=True)
+    return _render(_exact_bounds(j, k), strip=True)
+
+
+def _table_json_cell(j: int, k: int) -> dict:
+    """The class (j <= k) as a `table --json` cell, from one exact record.
+
+    Each float e is float() of the exact one: for integer extremes the float
+    formulas round once, from exact integer operands, as float() rounds.
+    """
+    exact = _exact_bounds(j, k)
+    floats = {name: None if e is None else float(e) for name, e in _eigenvalue_bounds(exact).items()}
+    return {"d_min": j, "d_max": k, **floats, "rendered": _render(exact, strip=True)}
 
 
 # Peak bytes of `table` per cell of its (dmin_max + 1) x dmax_max grid: tracemalloc
@@ -215,7 +230,7 @@ def _cmd_bounds(args) -> int:
         "d_min": float(ds.d_min),
         "d_max": float(ds.d_max),
         "bounds": {**_eigenvalue_bounds(bounds), "e_prime_ALrw": e_prime_alrw},
-        "rendered": _render(ds.d_min, ds.d_max, strip=False),
+        "rendered": _render(_exact_bounds(ds.d_min, ds.d_max), strip=False),
         "pairs": _per_pair(_pair_summary, g, bounds),
     })
     return 0
@@ -268,12 +283,7 @@ def _cmd_table(args) -> int:
     _check_memory(cells * (_TABLE_JSON_CELL_BYTES if args.json else _TABLE_TEXT_CELL_BYTES),
                   f"a table of {cells:,} cells needs about {{}} GiB")
     if args.json:
-        from .bounds import pair_bounds
-
-        _print_json({"cells": [
-            {"d_min": j, "d_max": k, **_eigenvalue_bounds(pair_bounds(DegreeSummary(float(j), float(k)))),
-             "rendered": bound_table_cell(j, k)}
-            for k in dmaxs for j in dmins if j <= k]})
+        _print_json({"cells": [_table_json_cell(j, k) for k in dmaxs for j in dmins if j <= k]})
         return 0
     grid = [[bound_table_cell(j, k) for j in dmins] for k in dmaxs]
     widths = [max(len(grid[r][c]) for r in range(len(grid))) for c in range(len(dmins))]

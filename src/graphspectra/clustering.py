@@ -65,6 +65,7 @@ def spectral_embed(g: Graph, kind: RepresentationKind, k: int) -> np.ndarray:
 
     The columns are the first k of :func:`eigensystem`, random-walk
     eigenvectors for the normalised Laplacian; rows are not normalised.
+    The array is a read-only view of the vectors memoised on the graph.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in 1..{g.n}, got {k}")
@@ -271,8 +272,9 @@ def kmeans(
     """Deterministic k-means: k-means++ seeding, Lloyd iterations, best restart.
 
     Clusters the rows of the n x d array ``points``, which must be finite,
-    and close enough that n squared distances add up without overflow.
-    Restart r seeds from row r of ``numpy.random.default_rng(seed).random((restarts, k))``:
+    and close enough that n squared distances add up without overflow;
+    ``points`` is only read, so it may be a read-only array. Restart r
+    seeds from row r of ``numpy.random.default_rng(seed).random((restarts, k))``:
     its first centre is point ``min(floor(u[0] * n), n - 1)``, and centre j
     is drawn with u[j] in proportion to the squared distance to the nearest
     centre so far, or as ``min(floor(u[j] * n), n - 1)`` once every point

@@ -50,7 +50,9 @@ class Graph:
     order; ``edges``, ``edge_weights``, ``degrees`` and ``weights`` are
     read-only arrays derived on first access and kept. ``rescaled`` is set by
     the loaders when weights above 1 were divided by the maximum weight.
-    Instances are immutable, and so are the spectra memoised on the instance.
+    Instances are immutable, and so are the spectra and eigenvectors
+    memoised on the instance: a graph keeps each kind's eigenvectors, 8 n^2
+    bytes, once an eigensystem of that kind has been asked for.
     """
 
     n: int
@@ -61,8 +63,10 @@ class Graph:
     _edge_weights: object = field(repr=False)
     _degrees: object = field(repr=False)
     _summary: DegreeSummary = field(repr=False)
-    # RepresentationKind -> Spectrum, filled by spectra.spectrum.
+    # RepresentationKind -> Spectrum, filled by spectra.spectrum and spectra.eigensystem.
     _spectra: dict = field(repr=False)
+    # RepresentationKind -> read-only eigenvector columns, filled by spectra.eigensystem only.
+    _eigenvectors: dict = field(repr=False)
 
     def __init__(self, n: int, weights: np.ndarray, index_base: int = 0) -> None:
         import numpy as np
@@ -139,7 +143,7 @@ class Graph:
         for name, value in (("n", n), ("_edges", edges), ("_edge_weights", edge_weights),
                             ("_degrees", degrees), ("index_base", index_base),
                             ("rescaled", rescaled), ("_summary", DegreeSummary(d_min, d_max)),
-                            ("_spectra", {})):
+                            ("_spectra", {}), ("_eigenvectors", {})):
             object.__setattr__(self, name, value)
 
     @cached_property

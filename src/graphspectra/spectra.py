@@ -8,7 +8,9 @@ decompose; :func:`eigensystem` recovers the random-walk eigenvectors
 from the symmetric ones.
 
 Eigendecomposition uses LAPACK ``eigh`` on the exactly symmetric matrix;
-every result is checked for residual and orthonormality before use.
+every result is checked for residual and orthonormality before use. Each
+graph memoises its spectra and, once an eigensystem of a kind is asked
+for, that kind's eigenvectors.
 """
 
 from __future__ import annotations
@@ -142,7 +144,36 @@ def eigensystem(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarra
     For the normalised Laplacian the columns are random-walk eigenvectors:
     the symmetric surrogate's orthonormal vectors times D^{-1/2}, not
     normalised.
+
+    Memoised on the graph, which is immutable: the first call for a kind
+    solves and checks, and every later call returns the same read-only
+    vectors, which the graph keeps (8 n^2 bytes per kind). The Spectrum is
+    always the one :func:`spectrum` returns for the graph and kind.
     """
+    vectors = g._eigenvectors.get(kind)
+    if vectors is None:
+        spec, vectors = _solve(g, kind)
+        vectors.setflags(write=False)
+        g._spectra.setdefault(kind, spec)
+        g._eigenvectors[kind] = vectors
+    return g._spectra[kind], vectors
+
+
+def spectrum(g: Graph, kind: RepresentationKind) -> Spectrum:
+    """Ordered eigenvalues of the chosen representation matrix.
+
+    Memoised on the graph, which is immutable: every call for the same
+    graph and kind returns the same Spectrum, whose values are read-only.
+    The eigenvectors are not kept; only :func:`eigensystem` keeps them.
+    """
+    spec = g._spectra.get(kind)
+    if spec is None:
+        spec = g._spectra[kind] = _solve(g, kind)[0]
+    return spec
+
+
+def _solve(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarray]:
+    """The kind's checked eigensystem, newly computed; the Spectrum's values read-only."""
     values, vectors = eig_sym(build_matrix(g, kind), label=f"{kind.value} matrix (n={g.n})")
     if kind is RepresentationKind.ADJACENCY:
         order = np.argsort(-values, kind="stable")
@@ -156,22 +187,8 @@ def eigensystem(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarra
         raise EigensolverError(
             f"{kind.value} eigenvalues escape the Gershgorin support [{lo}, {hi}]"
         )
+    values.setflags(write=False)
     return Spectrum(kind=kind, values=values, support=(lo, hi)), vectors
-
-
-def spectrum(g: Graph, kind: RepresentationKind) -> Spectrum:
-    """Ordered eigenvalues of the chosen representation matrix.
-
-    Memoised on the graph, which is immutable: every call for the same
-    graph and kind returns the same Spectrum, whose values are read-only.
-    The eigenvectors are not kept; :func:`eigensystem` recomputes them.
-    """
-    spec = g._spectra.get(kind)
-    if spec is None:
-        spec, _ = eigensystem(g, kind)
-        spec.values.setflags(write=False)
-        g._spectra[kind] = spec
-    return spec
 
 
 def normalized_eigengaps(s: Spectrum) -> np.ndarray:

@@ -352,7 +352,7 @@ class TestTable:
         def no_cell(j, k):
             raise AssertionError(f"cell ({j}, {k}) computed")
 
-        monkeypatch.setattr(cli, "bound_table_cell", no_cell)
+        monkeypatch.setattr(cli, "_exact_bounds", no_cell)  # every cell of both grids
         assert run(capsys, "table", *argv) == (
             1, "", f"error: {message}, more than the 0.1 GiB of physical memory\n")
 

@@ -33,6 +33,7 @@ from graphspectra import (
     gen_complete,
     gen_graph_c,
     kmeans,
+    spectra,
     spectral_embed,
 )
 
@@ -479,6 +480,20 @@ class TestKmeans:
             kmeans(np.array(points), 2)
         starts.assert_not_called()
 
+    def test_read_only_points_are_never_written(self):
+        """Both seeding paths: with the table of distances between points and without."""
+        rng = np.random.default_rng(6)
+        for budget in (BUDGET, 0):
+            points = rng.standard_normal((30, 4))
+            points.setflags(write=False)
+            before = points.tobytes()
+            with mock.patch.object(clustering, "KMEANS_WORKING_SET_BYTES", budget):
+                result = kmeans(points, 3, restarts=8, seed=5)
+                reference = kmeans(points.copy(), 3, restarts=8, seed=5)
+            assert points.tobytes() == before
+            assert np.array_equal(result.labels, reference.labels)
+            assert result.inertia == reference.inertia
+
     def test_negative_seed_is_named_error(self):
         """Checked before anything else, here before the out-of-range k."""
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
@@ -532,6 +547,34 @@ class TestCluster:
             aligned = ClusteringResult(labels=base.labels[perm], inertia=0.0, kind=None,
                                        k=10, empty_clusters=(), index_base=1)
             assert compare_clusterings(result, aligned).misplaced == 0
+
+
+class TestEigensystemShared:
+    """Clusterings of one graph share its memoised eigensystem of each kind."""
+
+    def test_two_k_per_kind_solve_once_per_kind(self):
+        g = gen_graph_c(18)
+        with mock.patch.object(spectra, "eig_sym", wraps=spectra.eig_sym) as solve:
+            for kind, ks in ((A, (2, 10)), (L, (10, 19)), (LRW, (10, 27))):
+                for k in ks:
+                    cluster(g, kind, k)
+        assert solve.call_count == 3
+
+    def test_embedding_is_a_read_only_view_of_the_memo(self):
+        g = gen_graph_c(18)
+        points = spectral_embed(g, LRW, 27)
+        assert np.shares_memory(points, spectra.eigensystem(g, LRW)[1])
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind, ks", [(A, (10, 2)), (L, (10, 19)), (LRW, (10, 27))])
+    def test_memo_hit_matches_a_fresh_graph(self, kind, ks):
+        """Bit for bit, at the k that filled the memo and at another k."""
+        g = gen_graph_c(18)
+        for k in (ks[0], *ks):
+            memo, fresh = cluster(g, kind, k), cluster(gen_graph_c(18), kind, k)
+            assert np.array_equal(memo.labels, fresh.labels)
+            assert memo.inertia == fresh.inertia
 
 
 class TestCompareClusterings:

@@ -8,27 +8,34 @@ Ground truth, all derivable by hand:
 - disjoint unions: spectrum is the multiset union of component spectra
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from graphspectra import (
     EigensolverError,
     Graph,
+    MatrixPair,
     RepresentationKind,
     UndefinedRepresentationError,
     build_matrix,
     connected_components,
     disjoint_union,
     eig_sym,
+    gap_differences,
     gen_complete,
     gen_graph_c,
     gen_star,
     load_edge_list,
     normalized_eigengaps,
+    pair_differences,
     spectral_support,
     spectrum,
+    weyl_check,
 )
 from graphspectra import spectra
+from graphspectra.data import karate_graph
 from graphspectra.spectra import _validate_pairs
 
 A = RepresentationKind.ADJACENCY
@@ -255,6 +262,65 @@ class TestSpectrum:
                 lo, hi = s.support
                 assert s.values.min() >= lo - 1e-9
                 assert s.values.max() <= hi + 1e-9
+
+
+class TestEigensystemMemo:
+    """A graph's eigensystem of each kind is solved once and shared, read-only;
+    ``spectrum`` alone keeps no vectors."""
+
+    @staticmethod
+    def _counting():
+        return mock.patch.object(spectra, "eig_sym", wraps=spectra.eig_sym)
+
+    def test_solved_once_per_kind(self):
+        g = karate_graph()
+        with self._counting() as solve:
+            first = {kind: spectra.eigensystem(g, kind) for kind in ALL_KINDS}
+            for kind in ALL_KINDS:
+                spec, vectors = spectra.eigensystem(g, kind)
+                assert spec is first[kind][0] and vectors is first[kind][1]
+                assert spectrum(g, kind) is spec
+        assert solve.call_count == 3
+
+    def test_vectors_and_values_are_read_only(self):
+        spec, vectors = spectra.eigensystem(path3(), L)
+        with pytest.raises(ValueError, match="read-only"):
+            vectors[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.values[0] = 1.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_after_spectrum_returns_the_memoised_spectrum(self, kind):
+        g = karate_graph()
+        s = spectrum(g, kind)
+        spec, vectors = spectra.eigensystem(g, kind)
+        assert spec is s
+        fresh, fresh_vectors = spectra.eigensystem(karate_graph(), kind)
+        assert fresh.values.tobytes() == s.values.tobytes()
+        assert fresh_vectors.tobytes() == vectors.tobytes()
+
+    def test_spectrum_only_analysis_keeps_no_vectors(self):
+        """The bound checks read spectra alone: no graph keeps an n x n array
+        for them, and a later eigensystem solves again."""
+        g = karate_graph()
+        weyl_check(g)
+        for pair in MatrixPair:
+            pair_differences(pair, g)
+            gap_differences(pair, g)
+        assert set(g._spectra) == set(ALL_KINDS)
+        assert g._eigenvectors == {}
+        with self._counting() as solve:
+            spectra.eigensystem(g, A)
+        assert solve.call_count == 1
+
+    def test_failures_are_not_memoised(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1.0
+        g = Graph(n=3, weights=w)  # vertex 2 is isolated
+        for _ in range(2):
+            with pytest.raises(UndefinedRepresentationError):
+                spectra.eigensystem(g, LRW)
+        assert LRW not in g._spectra and g._eigenvectors == {}
 
 
 class TestSpectralSupport:
