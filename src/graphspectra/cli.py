@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -103,6 +102,8 @@ def _eigenvalue_bounds(bounds: dict) -> dict:
 
 def _exact_bounds(d_min, d_max) -> dict:
     """``pair_bounds`` of the extremes taken as Fractions, so every bound is exact."""
+    from fractions import Fraction
+
     from .bounds import pair_bounds
 
     return pair_bounds(DegreeSummary(Fraction(d_min), Fraction(d_max)))

@@ -104,7 +104,7 @@ class _Points:
             return self.to_centres(self.data[picks])
         unknown = picks[~self._known[picks]]
         if len(unknown):
-            fresh = np.unique(unknown)
+            fresh = np.flatnonzero(np.bincount(unknown))  # sorted distinct ids; np.unique loads numpy.ma
             self._between[fresh] = self.to_centres(self.data[fresh])
             self._known[fresh] = True
         return self._between[picks]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusteringResult
-from .graphs import Graph, _parse_endpoint, load_pajek, parse_number
+from .graphs import Graph, _converters, _parse_endpoint, load_pajek
 
 
 def karate_net_path() -> Path:
@@ -35,7 +35,9 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
     """
     labels = np.full(n, -1, dtype=int)
     top = int(np.iinfo(labels.dtype).max)
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    text = text.removeprefix("\ufeff")
+    to_int, _ = _converters(text)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -44,11 +46,11 @@ def load_truth_labels(text: str, n: int, index_base: int = 1) -> ClusteringResul
         if len(tokens) != 2:
             raise ValueError(f"{where}: expected 'vertex_id label'")
         try:
-            v = _parse_endpoint(tokens[0], n, index_base, where)
+            v = _parse_endpoint(tokens[0], n, index_base, lineno, to_int)
         except ValueError as exc:  # a GraphFormatError: this is no graph file
-            raise ValueError(str(exc)) from None
+            raise ValueError(f"truth file {exc}") from None
         try:
-            label = parse_number(int, tokens[1])
+            label = to_int(tokens[1])
         except ValueError:
             raise ValueError(f"{where}: non-numeric label {tokens[1]!r}") from None
         if label < 0:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
@@ -33,8 +32,38 @@ class GraphFormatError(ValueError):
     """A graph file violates the edge-list or Pajek format."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Graph:
+class _Frozen:
+    """A record set up by its constructor: assigning or deleting an attribute raises, and
+    ``repr`` shows the fields named in ``_shown``. Not a dataclass: ``dataclasses`` imports
+    ``inspect``, which the commands that need only this module would pay for."""
+
+    _shown: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Value(_Frozen):
+    """A frozen record equal to another of its own class, and hashed, by its ``_shown`` fields."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Graph(_Frozen):
     """Simple undirected graph with edge weights in (0, 1].
 
     A graph is its edge list: row i of ``edges`` is an upper-triangle pair
@@ -59,14 +88,15 @@ class Graph:
     index_base: int
     rescaled: bool
     # A loader's Python lists, or read-only arrays; never changed after construction.
-    _edges: object = field(repr=False)
-    _edge_weights: object = field(repr=False)
-    _degrees: object = field(repr=False)
-    _summary: DegreeSummary = field(repr=False)
+    _edges: object
+    _edge_weights: object
+    _degrees: object
+    _summary: DegreeSummary
     # RepresentationKind -> Spectrum, filled by spectra.spectrum and spectra.eigensystem.
-    _spectra: dict = field(repr=False)
+    _spectra: dict
     # RepresentationKind -> read-only eigenvector columns, filled by spectra.eigensystem only.
-    _eigenvectors: dict = field(repr=False)
+    _eigenvectors: dict
+    _shown = ("n", "index_base", "rescaled")
 
     def __init__(self, n: int, weights: np.ndarray, index_base: int = 0) -> None:
         import numpy as np
@@ -89,7 +119,7 @@ class Graph:
         u, v = u[upper], v[upper]
         self._setup(n, np.stack([u, v], axis=1), w[u, v], index_base)
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)  # the cached property's value
+        vars(self)["weights"] = w  # the cached property's value
 
     @classmethod
     def from_edges(cls, n: int, edges, edge_weights, index_base: int = 0) -> Graph:
@@ -140,11 +170,9 @@ class Graph:
     def _bind(self, n, edges, edge_weights, degrees, d_min, d_max, index_base, rescaled) -> None:
         if index_base not in (0, 1):
             raise ValueError("index_base must be 0 or 1")
-        for name, value in (("n", n), ("_edges", edges), ("_edge_weights", edge_weights),
-                            ("_degrees", degrees), ("index_base", index_base),
-                            ("rescaled", rescaled), ("_summary", DegreeSummary(d_min, d_max)),
-                            ("_spectra", {}), ("_eigenvectors", {})):
-            object.__setattr__(self, name, value)
+        vars(self).update(n=n, _edges=edges, _edge_weights=edge_weights, _degrees=degrees,
+                          index_base=index_base, rescaled=rescaled,
+                          _summary=DegreeSummary(d_min, d_max), _spectra={}, _eigenvectors={})
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -188,27 +216,29 @@ def _read_only(values, dtype: str, shape: tuple) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
+class DegreeSummary(_Value):
     """The degree extremes (d_min, d_max) of a graph or of a degree-extreme class.
 
     The bounds depend on the extremes alone; a graph's degree vector is
     ``Graph.degrees``. Immutable, so the pair bounds computed from the
-    extremes are memoised on the instance.
+    extremes are memoised on the instance. Summaries compare and hash by the
+    extremes alone, so Fraction and float extremes of equal value are equal.
     """
 
-    d_min: float
-    d_max: float
-    # One entry, "pair_bounds": every pair's PairBounds, filled by bounds.pair_bounds.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shown = ("d_min", "d_max")
+
+    def __init__(self, d_min: float, d_max: float) -> None:
+        # _memo has one entry, "pair_bounds": every pair's PairBounds, filled by bounds.pair_bounds.
+        vars(self).update(d_min=d_min, d_max=d_max, _memo={})
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentLabeling:
+class ComponentLabeling(_Frozen):
     """Connected-component ids, contiguous in 0..component_count-1."""
 
-    component_count: int
-    _labels: list = field(repr=False)
+    _shown = ("component_count",)
+
+    def __init__(self, component_count: int, _labels: list) -> None:
+        vars(self).update(component_count=component_count, _labels=_labels)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -218,12 +248,13 @@ class ComponentLabeling:
         return np.array(self._labels, dtype=int)
 
 
-@dataclass(frozen=True)
-class ClassTag:
+class ClassTag(_Value):
     """Degree-extreme class: all graphs with d_min = j and d_max = k."""
 
-    j: int
-    k: int
+    _shown = ("j", "k")
+
+    def __init__(self, j: int, k: int) -> None:
+        vars(self).update(j=j, k=k)
 
 
 def _graph_from_edges(n: int, edges: dict[tuple[int, int], float], index_base: int) -> Graph:
@@ -308,36 +339,44 @@ def parse_number(convert, token: str):
     return convert(token)
 
 
-def _parse_endpoint(token: str, n: int, base: int, where: str) -> int:
-    """The 0-based vertex of the id ``token``, numbered from ``base``; errors begin ``where``."""
+def _converters(text: str) -> tuple:
+    """:func:`parse_number`'s int and float conversions for the tokens of ``text``: the bare
+    ``int`` and ``float`` when the whole text is ASCII without '_', so no token can fail."""
+    if text.isascii() and "_" not in text:
+        return int, float
+    return partial(parse_number, int), partial(parse_number, float)
+
+
+def _parse_endpoint(token: str, n: int, base: int, lineno: int, to_int) -> int:
+    """The 0-based vertex of the id ``token`` on line ``lineno``, numbered from ``base``."""
     try:
-        raw = parse_number(int, token)
+        raw = to_int(token)
     except ValueError:
-        raise GraphFormatError(f"{where}: non-numeric vertex id {token!r}") from None
+        raise GraphFormatError(f"line {lineno}: non-numeric vertex id {token!r}") from None
     v = raw - base
     if not 0 <= v < n:
-        raise GraphFormatError(f"{where}: vertex id {raw} out of range")
+        raise GraphFormatError(f"line {lineno}: vertex id {raw} out of range")
     return v
 
 
-def _parse_edge(tokens: list[str], line: str, what: str, n: int, base: int,
-                lineno: int) -> tuple[int, int, float]:
-    """The 0-based ends and the weight (1 if left out) of a ``u v [w]`` line of kind ``what``."""
-    if len(tokens) not in (2, 3):
-        raise GraphFormatError(f"line {lineno}: malformed {what} line {line!r}")
-    where = f"line {lineno}"
-    u = _parse_endpoint(tokens[0], n, base, where)
-    v = _parse_endpoint(tokens[1], n, base, where)
+def _parse_edge(tokens: list[str], line: str, what: str, n: int, base: int, lineno: int,
+                to_int, to_float) -> tuple[int, int, float]:
+    """The 0-based ends and the weight (1 if left out) of ``tokens``, a ``u v [w]`` line of
+    kind ``what``; ``line``, the text they were split from, is quoted in an error."""
+    if not 2 <= len(tokens) <= 3:
+        raise GraphFormatError(f"line {lineno}: malformed {what} line {line.strip()!r}")
+    u = _parse_endpoint(tokens[0], n, base, lineno, to_int)
+    v = _parse_endpoint(tokens[1], n, base, lineno, to_int)
     if u == v:
-        raise GraphFormatError(f"{where}: self-loop on vertex {tokens[0]}")
+        raise GraphFormatError(f"line {lineno}: self-loop on vertex {tokens[0]}")
     if len(tokens) == 2:
         return u, v, 1.0
     try:
-        weight = parse_number(float, tokens[2])
+        weight = to_float(tokens[2])
     except ValueError:
-        raise GraphFormatError(f"{where}: non-numeric weight {tokens[2]!r}") from None
-    if not weight > 0.0 or not math.isfinite(weight):
-        raise GraphFormatError(f"{where}: edge weight must be positive and finite")
+        raise GraphFormatError(f"line {lineno}: non-numeric weight {tokens[2]!r}") from None
+    if not 0.0 < weight < math.inf:
+        raise GraphFormatError(f"line {lineno}: edge weight must be positive and finite")
     return u, v, weight
 
 
@@ -355,26 +394,27 @@ def load_edge_list(text: str) -> Graph:
     n: Optional[int] = None
     base = 0
     edges: dict[tuple[int, int], float] = {}
+    to_int, to_float = _converters(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         tokens = line.split()
+        if not tokens:
+            continue
         if n is None:
             if tokens[0].lower() != "nodes":
                 raise GraphFormatError(f"line {lineno}: expected 'nodes N' header")
             if len(tokens) not in (2, 4) or (len(tokens) == 4 and tokens[2].lower() != "base"):
-                raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
+                raise GraphFormatError(f"line {lineno}: malformed header {line.strip()!r}")
             try:
-                n = parse_number(int, tokens[1])
-                base = parse_number(int, tokens[3]) if len(tokens) == 4 else 0
+                n = to_int(tokens[1])
+                base = to_int(tokens[3]) if len(tokens) == 4 else 0
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
+                raise GraphFormatError(f"line {lineno}: malformed header {line.strip()!r}") from None
             if n < 0 or base not in (0, 1):
-                raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
+                raise GraphFormatError(f"line {lineno}: malformed header {line.strip()!r}")
             _check_vertex_count(n, lineno)
             continue
-        u, v, weight = _parse_edge(tokens, line, "edge", n, base, lineno)
+        u, v, weight = _parse_edge(tokens, line, "edge", n, base, lineno, to_int, to_float)
         key = (u, v) if u < v else (v, u)
         if key in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge {tokens[0]} {tokens[1]}")
@@ -408,18 +448,18 @@ def load_pajek(text: str) -> Graph:
     section = ""
     edges: dict[tuple[int, int], float] = {}
     arcs: dict[tuple[int, int], float] = {}
+    to_int, to_float = _converters(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "%":
             continue
-        if line.startswith("*"):
-            tokens = line.split()
+        if tokens[0][0] == "*":
             marker = tokens[0].lower()
             if marker == "*vertices":
                 if len(tokens) < 2:
                     raise GraphFormatError(f"line {lineno}: *Vertices needs a count")
                 try:
-                    n = parse_number(int, tokens[1])
+                    n = to_int(tokens[1])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: non-numeric vertex count") from None
                 if n < 0:
@@ -437,8 +477,7 @@ def load_pajek(text: str) -> Graph:
             continue  # vertex labels; ids are implicit 1..n
         if section not in ("edges", "arcs"):
             raise GraphFormatError(f"line {lineno}: data before any *Edges/*Arcs section")
-        tokens = line.split()
-        u, v, weight = _parse_edge(tokens, line, section, n, 1, lineno)
+        u, v, weight = _parse_edge(tokens, raw, section, n, 1, lineno, to_int, to_float)
         if section == "edges":
             key = (u, v) if u < v else (v, u)
             if key in edges:

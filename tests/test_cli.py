@@ -652,7 +652,8 @@ class TestPrecheckEdgeCases:
 
 
 class TestNoNumpyForThePrecheck:
-    """info, region and gen need only degrees, components or edges: they never import numpy."""
+    """info, region and gen need only degrees, components or edges: they never import numpy,
+    nor ``dataclasses`` (which imports ``inspect``) or ``fractions`` (which imports ``decimal``)."""
 
     @pytest.fixture(scope="class")
     def commands(self, tmp_path_factory):
@@ -686,6 +687,7 @@ class TestNoNumpyForThePrecheck:
             imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
             assert "graphspectra.graphs" in imported
             assert [m for m in imported if m.split(".")[0] == "numpy"] == [], argv
+            assert {"dataclasses", "fractions"}.isdisjoint(imported), argv
 
     def test_through_cli_main(self, commands):
         script = (
@@ -699,6 +701,19 @@ class TestNoNumpyForThePrecheck:
         proc = self.python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count('"region": "bold"') == 4  # P4 from both files
+
+
+class TestClusterLoadsNoMaskedArrays:
+    """numpy.ma costs about 4.5 ms to import, and cluster needs no masked array."""
+
+    @pytest.mark.parametrize("truth", [[], ["--truth", str(karate_factions_path())]])
+    def test_through_python_m(self, truth):
+        argv = ["cluster", KARATE, "--kind", "Lrw", "--k", "2", *truth]
+        proc = TestNoNumpyForThePrecheck.python("-X", "importtime", "-m", "graphspectra", *argv)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "numpy.linalg" in imported
+        assert "numpy.ma" not in imported
 
 
 class TestPrecheckCost:

@@ -7,6 +7,7 @@ block-diagonal unions.
 
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from graphspectra import (
     spectrum,
 )
 from graphspectra.data import karate_net_path
-from graphspectra.graphs import ClassTag, DegreeSummary, _write_edge_list
+from graphspectra.graphs import (
+    ClassTag,
+    DegreeSummary,
+    _check_vertex_count,
+    _graph_from_edges,
+    _write_edge_list,
+    parse_number,
+)
 
 
 def path3():
@@ -635,46 +643,76 @@ def graph_files(draw):
     return _edge_list_text(n, edges, base), "#", n, base, edges
 
 
-# Mutations that keep a file valid, and those that may break it.
-HARMLESS = ("blank", "own comment")
-DAMAGING = ("other comment", "drop token", "repeat token", "swap tokens", "huge id", "repeat line")
+# Mutations that keep a file valid, and those that may break it. A comment
+# with '_' or a non-ASCII letter sends every token of the text through the
+# per-token number test; so does an odd token that has either.
+HARMLESS = ("blank", "own comment", "odd comment")
+DAMAGING = ("other comment", "drop token", "repeat token", "swap tokens", "huge id", "repeat line",
+            "odd token", "weighted line")
+# How an odd token is made from a token: its digits in another script, a '_'
+# after its first character or a '+' before it, which int() and float()
+# alone would take at the same value; or a token put in its place.
+ODD_FORMS = ("digits", "underscore", "plus", "0x1", "-1", "nan", "inf", "1e400", "-0.5")
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _odd(token, form):
+    if form == "digits":
+        return token.translate(_ARABIC_INDIC)
+    if form == "underscore":
+        return token[:1] + "_" + token[1:]
+    return "+" + token if form == "plus" else form
+
+
+@st.composite
+def mutated_files(draw, mutations=HARMLESS + DAMAGING):
+    """(text, damaged, n, base, edges): a file of :func:`graph_files` after up to three of
+    ``mutations``, drawn with repeats."""
+    text, own, n, base, edges = draw(graph_files())
+    lines = text.splitlines()
+    damaged = False
+    for mutation in draw(st.lists(st.sampled_from(mutations), max_size=3)):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        if mutation == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+        elif mutation.endswith("comment"):
+            other = {"#": "%", "%": "#"}[own]
+            note = " note_\u00e9" if mutation == "odd comment" else " note"
+            lines.insert(i, (other if mutation == "other comment" else own) + note)
+        elif mutation == "repeat line":
+            lines.insert(i, lines[i])
+        elif mutation == "weighted line":  # u v w, often a new edge
+            u, v = (draw(st.integers(min_value=base, max_value=n + base)) for _ in range(2))
+            weight = _odd("0.5", draw(st.sampled_from(ODD_FORMS + ("2.5", "1e-320"))))
+            lines.insert(i, f"{u} {v} {weight}")
+        else:  # change one token of line i
+            tokens = lines[i].split()
+            j = draw(st.integers(min_value=0, max_value=max(len(tokens) - 1, 0)))
+            if mutation == "huge id":
+                tokens.insert(j, draw(st.sampled_from([str(2**63), "9" * 30, f"-{2**64}"])))
+            elif tokens and mutation == "odd token":
+                tokens[j] = _odd(tokens[j], draw(st.sampled_from(ODD_FORMS)))
+            elif tokens and mutation == "drop token":
+                del tokens[j]
+            elif tokens and mutation == "repeat token":
+                tokens.insert(j, tokens[j])
+            elif tokens and mutation == "swap tokens":
+                tokens[j], tokens[-1] = tokens[-1], tokens[j]
+            lines[i] = " ".join(tokens)
+        damaged = damaged or mutation in DAMAGING
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, damaged, n, base, edges
 
 
 class TestAnyTextLoadsOrIsAFormatError:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(graph_files(), st.data())
-    def test_mutated_files(self, case, data):
+    @given(mutated_files())
+    def test_mutated_files(self, case):
         """Every text loads or raises GraphFormatError; a valid one loads to its own edges."""
-        text, own, n, base, edges = case
-        lines = text.splitlines()
-        damaged = False
-        for mutation in data.draw(st.lists(st.sampled_from(HARMLESS + DAMAGING), max_size=3)):
-            i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
-            if mutation == "blank":
-                lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t"])))
-            elif mutation.endswith("comment"):
-                other = {"#": "%", "%": "#"}[own]
-                lines.insert(i, (own if mutation == "own comment" else other) + " note")
-            elif mutation == "repeat line":
-                lines.insert(i, lines[i])
-            else:  # change one token of line i
-                tokens = lines[i].split()
-                j = data.draw(st.integers(min_value=0, max_value=max(len(tokens) - 1, 0)))
-                if mutation == "huge id":
-                    tokens.insert(j, data.draw(st.sampled_from([str(2**63), "9" * 30, f"-{2**64}"])))
-                elif tokens and mutation == "drop token":
-                    del tokens[j]
-                elif tokens and mutation == "repeat token":
-                    tokens.insert(j, tokens[j])
-                elif tokens:  # swap tokens
-                    tokens[j], tokens[-1] = tokens[-1], tokens[j]
-                lines[i] = " ".join(tokens)
-            damaged = damaged or mutation in DAMAGING
-        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
-        text = newline.join(lines) + data.draw(st.sampled_from([newline, ""]))
-        if data.draw(st.booleans()):
-            text = "\ufeff" + text
-
+        text, damaged, n, base, edges = case
         top = max(edges.values(), default=1.0)
         weights = {pair: w / top if top > 1.0 else w for pair, w in edges.items()}
         try:
@@ -687,6 +725,220 @@ class TestAnyTextLoadsOrIsAFormatError:
             assert (g.n, g.index_base) == (n, base)
             assert g.edges.tolist() == [list(pair) for pair in sorted(weights)]
             assert g.edge_weights.tolist() == [weights[pair] for pair in sorted(weights)]
+
+
+# The loaders as they were before the number test was decided once per text
+# and the edge-line routine was shared: the reference for the parity test.
+def _reference_parse_endpoint(token, n, base, where):
+    try:
+        raw = parse_number(int, token)
+    except ValueError:
+        raise GraphFormatError(f"{where}: non-numeric vertex id {token!r}") from None
+    v = raw - base
+    if not 0 <= v < n:
+        raise GraphFormatError(f"{where}: vertex id {raw} out of range")
+    return v
+
+
+def _reference_parse_edge(tokens, line, what, n, base, lineno):
+    if len(tokens) not in (2, 3):
+        raise GraphFormatError(f"line {lineno}: malformed {what} line {line!r}")
+    where = f"line {lineno}"
+    u = _reference_parse_endpoint(tokens[0], n, base, where)
+    v = _reference_parse_endpoint(tokens[1], n, base, where)
+    if u == v:
+        raise GraphFormatError(f"{where}: self-loop on vertex {tokens[0]}")
+    if len(tokens) == 2:
+        return u, v, 1.0
+    try:
+        weight = parse_number(float, tokens[2])
+    except ValueError:
+        raise GraphFormatError(f"{where}: non-numeric weight {tokens[2]!r}") from None
+    if not weight > 0.0 or not np.isfinite(weight):
+        raise GraphFormatError(f"{where}: edge weight must be positive and finite")
+    return u, v, weight
+
+
+def _reference_load_edge_list(text):
+    n = None
+    base = 0
+    edges = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if n is None:
+            if tokens[0].lower() != "nodes":
+                raise GraphFormatError(f"line {lineno}: expected 'nodes N' header")
+            if len(tokens) not in (2, 4) or (len(tokens) == 4 and tokens[2].lower() != "base"):
+                raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
+            try:
+                n = parse_number(int, tokens[1])
+                base = parse_number(int, tokens[3]) if len(tokens) == 4 else 0
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: malformed header {line!r}") from None
+            if n < 0 or base not in (0, 1):
+                raise GraphFormatError(f"line {lineno}: malformed header {line!r}")
+            _check_vertex_count(n, lineno)
+            continue
+        u, v, weight = _reference_parse_edge(tokens, line, "edge", n, base, lineno)
+        key = (u, v) if u < v else (v, u)
+        if key in edges:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {tokens[0]} {tokens[1]}")
+        edges[key] = weight
+    if n is None:
+        raise GraphFormatError("missing 'nodes N' header")
+    return _graph_from_edges(n, edges, index_base=base)
+
+
+def _reference_load_pajek(text):
+    n = None
+    section = ""
+    edges = {}
+    arcs = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        if line.startswith("*"):
+            tokens = line.split()
+            marker = tokens[0].lower()
+            if marker == "*vertices":
+                if len(tokens) < 2:
+                    raise GraphFormatError(f"line {lineno}: *Vertices needs a count")
+                try:
+                    n = parse_number(int, tokens[1])
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: non-numeric vertex count") from None
+                if n < 0:
+                    raise GraphFormatError(f"line {lineno}: negative vertex count")
+                _check_vertex_count(n, lineno)
+                section = "vertices"
+            elif marker in ("*edges", "*arcs"):
+                if n is None:
+                    raise GraphFormatError(f"line {lineno}: missing *Vertices header")
+                section = marker[1:]
+            else:
+                raise GraphFormatError(f"line {lineno}: unsupported section {tokens[0]!r}")
+            continue
+        if section == "vertices":
+            continue
+        if section not in ("edges", "arcs"):
+            raise GraphFormatError(f"line {lineno}: data before any *Edges/*Arcs section")
+        tokens = line.split()
+        u, v, weight = _reference_parse_edge(tokens, line, section, n, 1, lineno)
+        if section == "edges":
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise GraphFormatError(f"line {lineno}: duplicate edge {tokens[0]} {tokens[1]}")
+            edges[key] = weight
+        else:
+            if (u, v) in arcs:
+                raise GraphFormatError(f"line {lineno}: duplicate arc {tokens[0]} {tokens[1]}")
+            arcs[(u, v)] = weight
+    if n is None:
+        raise GraphFormatError("missing *Vertices header")
+    for (u, v), weight in arcs.items():
+        key = (u, v) if u < v else (v, u)
+        if key in edges and edges[key] != weight:
+            raise GraphFormatError(f"conflicting weights for edge {u + 1} {v + 1}")
+        edges[key] = weight
+    return _graph_from_edges(n, edges, index_base=1)
+
+
+def _graph_or_message(load, text):
+    """The loaded graph's n, base, rescale flag and array bytes, or the GraphFormatError message."""
+    try:
+        g = load(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return (g.n, g.index_base, g.rescaled,
+            *((a.dtype, a.shape, a.tobytes()) for a in (g.edges, g.edge_weights, g.degrees)))
+
+
+class TestLoadersMatchTheReference:
+    """Every text, valid or not, gives the reference's graph bit for bit or its very message."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mutated_files(HARMLESS + DAMAGING + ("odd comment", "odd token", "weighted line") * 3))
+    def test_mutated_files(self, case):
+        text = case[0]
+        for load, reference in ((load_edge_list, _reference_load_edge_list),
+                                (load_pajek, _reference_load_pajek)):
+            for t in (text, text.removeprefix("\ufeff")):
+                assert _graph_or_message(load, t) == _graph_or_message(reference, t), load
+
+    @pytest.mark.parametrize("text", [
+        "nodes 3\n0 1 \u0661\n",
+        "nodes 3\n\u0661 2\n",
+        "nodes 3\n1_0 2\n",
+        "nodes 3\n0 1 1_0\n",
+        "nodes 3\n0x1 2\n",
+        "nodes 3\n+1 2 +0.5\n",
+        "nodes 3\n-1 2\n",
+        "nodes 3\n0 1 nan\n",
+        "nodes 3\n0 1 1e400\n",
+        "nodes 3\n0 1 -0.5\n",
+        "nodes 3\n0 1 2 3\n",
+        "nodes 3\n 0 1 2 3 # four tokens\n",
+        " nodes 3 base 2 # \n",
+        "nodes 3 base 1 # \u00e9\n1 2 0.5 # \u00e9\n2 3 3\n",
+        "nodes 1_0\n",
+        "nodes 3 base \u0661\n",
+        "nodes 3 bass 1\n",
+        "*Vertices 3\n*Arcs\n1 2 0.5\n2 1 0.25\n",
+        "*Vertices 3 % \u00e9\n*Edges\n1 2 0.5\n2 3\n",
+        "*Vertices \u0663\n*Edges\n",
+        "*Vertices 3\n*Edges\n1 2 0.5 %\n",
+        "*Vertices 3\n*Edges\n\t1 2 0.5 x \n",
+        "*Vertices 3\n*Edges\n1 \uff12\n",
+    ])
+    def test_each_number_rule(self, text):
+        for load, reference in ((load_edge_list, _reference_load_edge_list),
+                                (load_pajek, _reference_load_pajek)):
+            assert _graph_or_message(load, text) == _graph_or_message(reference, text), load
+
+
+class TestRecords:
+    """Graph and its records are immutable; the summaries and classes compare as values."""
+
+    def test_fields_refuse_assignment_and_deletion(self):
+        g = load_edge_list("nodes 3\n0 1\n")
+        for record, name in ((g, "n"), (g, "weights"), (degree_summary(g), "d_min"),
+                             (degree_summary(g), "_memo"), (connected_components(g), "labels"),
+                             (ClassTag(1, 2), "k")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, "other", 0)
+        assert g.n == 3 and degree_summary(g).d_min == 0.0
+
+    def test_reprs(self):
+        g = load_edge_list("nodes 3\n0 1\n")
+        assert repr(g) == "Graph(n=3, index_base=0, rescaled=False)"
+        assert repr(degree_summary(g)) == "DegreeSummary(d_min=0.0, d_max=1.0)"
+        assert repr(connected_components(g)) == "ComponentLabeling(component_count=2)"
+        assert repr(ClassTag(j=1, k=2)) == "ClassTag(j=1, k=2)"
+
+    def test_summaries_compare_by_the_extremes_alone(self):
+        exact, floats = DegreeSummary(Fraction(1), Fraction(3)), DegreeSummary(1.0, 3.0)
+        floats._memo["pair_bounds"] = None  # the memo is outside equality
+        assert exact == floats and hash(exact) == hash(floats)
+        assert DegreeSummary(1.0, 3.0) != DegreeSummary(1.0, 4.0)
+        assert DegreeSummary(1, 3) != ClassTag(1, 3) and DegreeSummary(1, 3) != (1, 3)
+        assert len({exact, floats, DegreeSummary(d_min=1.0, d_max=3.0)}) == 1
+
+    def test_class_tags_compare_by_value(self):
+        assert ClassTag(j=1, k=2) == ClassTag(*(1, 2)) and hash(ClassTag(j=1, k=2)) == hash(ClassTag(1, 2))
+        assert ClassTag(1, 2) != ClassTag(2, 1)
+
+    def test_graphs_and_labelings_compare_by_identity(self):
+        a, b = load_edge_list("nodes 2\n0 1\n"), load_edge_list("nodes 2\n0 1\n")
+        assert a != b and a == a and len({a, b}) == 2
+        assert connected_components(a) != connected_components(a)
 
 
 class TestSizeGuard:
