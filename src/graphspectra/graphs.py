@@ -70,18 +70,20 @@ class Graph(_Frozen):
     u < v, rows in lexicographic order without repeats, and
     ``edge_weights[i]`` its weight. The degree vector and its extremes are
     computed from them once, at construction. ``Graph(n, weights)`` takes a
-    dense symmetric matrix and derives the edges from it;
-    :meth:`from_edges` takes the edge arrays directly and never builds the
-    n x n ``weights`` matrix, which is then assembled on first access.
+    dense symmetric matrix, reads its upper-triangle nonzeros as the edges
+    and keeps neither the matrix nor a copy of it; :meth:`from_edges` takes
+    the edge arrays directly. The graph keeps no dense matrix: each kind's
+    n x n matrix is built from the edges by ``spectra.build_matrix`` when
+    its spectrum is first asked for.
 
     A graph built from vertex pairs (loaded, generated or a disjoint union)
     keeps Python lists and sums its degrees in Python in ``np.bincount``'s
-    order; ``edges``, ``edge_weights``, ``degrees`` and ``weights`` are
-    read-only arrays derived on first access and kept. ``rescaled`` is set by
-    the loaders when weights above 1 were divided by the maximum weight.
-    Instances are immutable, and so are the spectra and eigenvectors
-    memoised on the instance: a graph keeps each kind's eigenvectors, 8 n^2
-    bytes, once an eigensystem of that kind has been asked for.
+    order; ``edges``, ``edge_weights`` and ``degrees`` are read-only arrays
+    derived on first access and kept. ``rescaled`` is set by the loaders
+    when weights above 1 were divided by the maximum weight. Instances are
+    immutable, and so are the spectra and eigenvectors memoised on the
+    instance: a graph keeps each kind's eigenvectors, 8 n^2 bytes, once an
+    eigensystem of that kind has been asked for.
     """
 
     n: int
@@ -101,7 +103,7 @@ class Graph(_Frozen):
     def __init__(self, n: int, weights: np.ndarray, index_base: int = 0) -> None:
         import numpy as np
 
-        w = np.array(weights, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if w.shape != (n, n):
@@ -118,8 +120,6 @@ class Graph(_Frozen):
         upper = u < v
         u, v = u[upper], v[upper]
         self._setup(n, np.stack([u, v], axis=1), w[u, v], index_base)
-        w.setflags(write=False)
-        vars(self)["weights"] = w  # the cached property's value
 
     @classmethod
     def from_edges(cls, n: int, edges, edge_weights, index_base: int = 0) -> Graph:
@@ -194,17 +194,6 @@ class Graph(_Frozen):
         if isinstance(self._edges, list):
             return self._edges, self._edge_weights
         return self._edges.tolist(), self._edge_weights.tolist()
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The symmetric n x n weight matrix, read-only, built from the edges on first access."""
-        import numpy as np
-
-        w = np.zeros((self.n, self.n))
-        u, v = self.edges.T
-        w[u, v] = w[v, u] = self.edge_weights
-        w.setflags(write=False)
-        return w
 
 
 def _read_only(values, dtype: str, shape: tuple) -> np.ndarray:

@@ -62,33 +62,38 @@ class Spectrum:
 def build_matrix(g: Graph, kind: RepresentationKind) -> np.ndarray:
     """The requested representation matrix as a new n x n array, exactly symmetric.
 
-    For the normalised Laplacian the symmetric form L_sym is returned: it
-    has the same eigenvalues as the random-walk form, which is not
-    symmetric. Requires d_min > 0 in that case.
+    Built from the graph's edges and degrees straight into one zeroed
+    array: each edge's entry goes to (u, v) and (v, u), then the degrees,
+    if the kind has them, to the diagonal. For the normalised Laplacian the
+    symmetric form L_sym is returned: it has the same eigenvalues as the
+    random-walk form, which is not symmetric. Requires d_min > 0 in that case.
     """
-    a = np.array(g.weights)
+    m = np.zeros((g.n, g.n))
+    u, v = g.edges.T
+    w, d = g.edge_weights, g.degrees
     if kind is RepresentationKind.ADJACENCY:
-        return a
-    lap = np.diag(g.degrees) - a
-    if kind is RepresentationKind.LAPLACIAN:
-        return lap
-    if kind is RepresentationKind.NORMALIZED_LAPLACIAN:
+        m[u, v] = m[v, u] = w
+    elif kind is RepresentationKind.LAPLACIAN:
+        m[u, v] = m[v, u] = -w
+        np.fill_diagonal(m, d)
+    elif kind is RepresentationKind.NORMALIZED_LAPLACIAN:
         if degree_summary(g).d_min == 0.0:  # degrees sum positive weights: exactly 0 when isolated
             raise UndefinedRepresentationError(
                 "normalised Laplacian is undefined for d_min = 0 (isolated vertex)"
             )
-        # With d = m * 4**e, m in [1/4, 1) and t = 1/sqrt(m), lap / sqrt(d_i d_j)
-        # is (lap * 2**-(e_i + e_j)) * (t_i * t_j). No step overflows, even on
+        # With d = s * 4**e, s in [1/4, 1) and t = 1/sqrt(s), L / sqrt(d_i d_j)
+        # is (L * 2**-(e_i + e_j)) * (t_i * t_j). No step overflows, even on
         # subnormal degrees, and where degrees and entries are normal each
-        # step rounds as lap * (1/sqrt(d_i) * 1/sqrt(d_j)).
-        mantissa, binary = np.frexp(g.degrees)
+        # step rounds as L * (1/sqrt(d_i) * 1/sqrt(d_j)). The product t_i * t_j
+        # commutes, so the matrix is exactly symmetric.
+        mantissa, binary = np.frexp(d)
         e = (binary + 1) // 2
         t = 1.0 / np.sqrt(np.ldexp(mantissa, binary - 2 * e))
-        # Elementwise scaling keeps the matrix exactly symmetric.
-        np.ldexp(lap, np.add.outer(-e, -e), out=lap)
-        lap *= np.outer(t, t)
-        return lap
-    raise ValueError(f"unknown representation kind {kind!r}")
+        m[u, v] = m[v, u] = np.ldexp(-w, -e[u] - e[v]) * (t[u] * t[v])
+        np.fill_diagonal(m, np.ldexp(d, -2 * e) * (t * t))
+    else:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    return m
 
 
 def eig_sym(m: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:

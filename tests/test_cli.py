@@ -79,7 +79,7 @@ class TestGen:
         assert code == 0
         g = load_edge_list(target.read_text())
         assert g.n == 18
-        assert g.weights.sum() / 2 == 17
+        assert g.edge_weights.sum() == 17
 
     def test_graphc_to_stdout(self, capsys):
         code, out, _ = run(capsys, "gen", "graphc", "3")

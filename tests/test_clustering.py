@@ -540,7 +540,7 @@ class TestCluster:
         base = cluster(graph_c18, L, 10)
         for _ in range(3):
             perm = rng.permutation(graph_c18.n)
-            permuted_weights = graph_c18.weights[np.ix_(perm, perm)]
+            permuted_weights = spectra.build_matrix(graph_c18, A)[np.ix_(perm, perm)]
             permuted = Graph(n=graph_c18.n, weights=permuted_weights,
                              index_base=graph_c18.index_base)
             result = cluster(permuted, L, 10)

@@ -18,6 +18,7 @@ from graphspectra import (
     Graph,
     GraphFormatError,
     RepresentationKind,
+    build_matrix,
     class_tag,
     connected_components,
     degree_summary,
@@ -47,6 +48,16 @@ def path3():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
     return Graph(n=3, weights=w)
+
+
+def adjacency(g):
+    """The graph's weight matrix, built from its edges."""
+    return build_matrix(g, RepresentationKind.ADJACENCY)
+
+
+def edge_map(g):
+    """The graph's edges as {(u, v): weight}, u < v."""
+    return dict(zip(map(tuple, g.edges.tolist()), g.edge_weights.tolist()))
 
 
 class TestGraphInvariants:
@@ -85,31 +96,29 @@ class TestGraphInvariants:
             build()
         assert str(excinfo.value) == message
 
-    def test_weights_are_read_only(self):
-        g = gen_complete(3)
-        with pytest.raises(ValueError):
-            g.weights[0, 1] = 0.5
-
     def test_generated_graphs_symmetric_zero_diagonal(self):
         for g in (gen_star(5), gen_complete(4), gen_graph_c(3), gen_bipartite_b()):
-            assert np.array_equal(g.weights, g.weights.T)
-            assert not np.any(np.diag(g.weights))
+            a = adjacency(g)
+            assert np.array_equal(a, a.T)
+            assert not np.any(np.diag(a))
 
 
 class TestLoadEdgeList:
     def test_smallest_edge(self):
         g = load_edge_list("nodes 2\n0 1\n")
         assert g.n == 2
-        assert g.weights[0, 1] == 1.0
+        assert edge_map(g) == {(0, 1): 1.0}
         assert not g.rescaled
 
     def test_path_p3(self):
         g = load_edge_list("nodes 3\n0 1\n1 2\n")
-        assert np.array_equal(g.weights, path3().weights)
+        p = path3()
+        assert np.array_equal(g.edges, p.edges)
+        assert np.array_equal(g.edge_weights, p.edge_weights)
 
     def test_weight_above_one_rescaled(self):
         g = load_edge_list("nodes 2\n0 1 4.0\n")
-        assert g.weights[0, 1] == 1.0
+        assert edge_map(g) == {(0, 1): 1.0}
         assert g.rescaled
 
     def test_weight_vanishing_under_rescale_rejected(self):
@@ -122,17 +131,16 @@ class TestLoadEdgeList:
 
     def test_rescale_divides_by_maximum(self):
         g = load_edge_list("nodes 3\n0 1 4.0\n1 2 1.0\n")
-        assert g.weights[0, 1] == 1.0
-        assert g.weights[1, 2] == 0.25
+        assert edge_map(g) == {(0, 1): 1.0, (1, 2): 0.25}
 
     def test_one_based_header(self):
         g = load_edge_list("nodes 2 base 1\n1 2\n")
-        assert g.weights[0, 1] == 1.0
+        assert edge_map(g) == {(0, 1): 1.0}
         assert g.index_base == 1
 
     def test_comments_and_blank_lines(self):
         g = load_edge_list("# a comment\n\nnodes 2\n0 1  # trailing\n")
-        assert g.weights[0, 1] == 1.0
+        assert edge_map(g) == {(0, 1): 1.0}
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError, match="self-loop"):
@@ -163,20 +171,19 @@ class TestLoadPajek:
     def test_minimal_edges(self):
         g = load_pajek("*Vertices 2\n*Edges\n1 2\n")
         assert g.n == 2
-        assert g.weights[0, 1] == 1.0
+        assert edge_map(g) == {(0, 1): 1.0}
         assert g.index_base == 1
 
     def test_karate_file(self, karate):
         """The bundled club network: 34 nodes, 78 edges, degree extremes 1 and 17."""
         assert karate.n == 34
-        assert karate.weights.sum() / 2 == 78
+        assert karate.edge_weights.sum() == 78
         ds = degree_summary(karate)
         assert (ds.d_min, ds.d_max) == (1.0, 17.0)
 
     def test_arcs_symmetrised_and_collapsed(self):
         g = load_pajek("*Vertices 3\n*Arcs\n1 2\n2 1\n")
-        assert g.weights[0, 1] == 1.0
-        assert g.weights.sum() == 2.0
+        assert edge_map(g) == {(0, 1): 1.0}
 
     def test_missing_vertices_header(self):
         with pytest.raises(GraphFormatError, match=r"\*Vertices"):
@@ -193,7 +200,7 @@ class TestLoadPajek:
 
     def test_vertex_label_lines_ignored(self):
         g = load_pajek('*Vertices 2\n1 "a"\n2 "b"\n*Edges\n1 2\n')
-        assert g.weights[0, 1] == 1.0
+        assert edge_map(g) == {(0, 1): 1.0}
 
     def test_conflicting_arc_weights(self):
         with pytest.raises(GraphFormatError, match="conflicting"):
@@ -206,7 +213,7 @@ class TestLoadPajek:
     def test_rescaling_applies_to_pajek(self):
         g = load_pajek("*Vertices 2\n*Edges\n1 2 5.0\n")
         assert g.rescaled
-        assert g.weights[0, 1] == 1.0
+        assert edge_map(g) == {(0, 1): 1.0}
 
 
 PAJEK_WITH_COMMENT = '% made by hand\n\n*Vertices 4\n1 "a"\n*Arcs\n1 2 2.0\n2 3\n*Edges\n3 4 0.5\n'
@@ -287,12 +294,14 @@ class TestDisjointUnion:
         g = gen_complete(18)
         for _ in range(9):
             g = disjoint_union(g, gen_complete(2))
-        assert np.array_equal(g.weights, graph_c18.weights)
+        assert np.array_equal(g.edges, graph_c18.edges)
+        assert np.array_equal(g.edge_weights, graph_c18.edge_weights)
 
     def test_identity_with_empty_graph(self):
         g = gen_star(4)
         u = disjoint_union(g, Graph(n=0, weights=np.zeros((0, 0))))
-        assert np.array_equal(u.weights, g.weights)
+        assert np.array_equal(u.edges, g.edges)
+        assert np.array_equal(u.edge_weights, g.edge_weights)
 
     def test_degree_extremes_combine(self):
         gens = [gen_star(5), gen_complete(4), gen_graph_c(3), gen_bipartite_b()]
@@ -339,7 +348,7 @@ class TestGenerators:
         assert star18.degrees[0] == 17.0  # hub first
 
     def test_star2_is_k2(self):
-        assert np.array_equal(gen_star(2).weights, gen_complete(2).weights)
+        assert edge_map(gen_star(2)) == edge_map(gen_complete(2)) == {(0, 1): 1.0}
 
     def test_star3_is_p3_up_to_relabel(self):
         assert sorted(gen_star(3).degrees) == [1.0, 1.0, 2.0]
@@ -354,7 +363,7 @@ class TestGenerators:
 
     def test_complete2_single_edge(self):
         g = gen_complete(2)
-        assert g.weights.sum() == 2.0
+        assert edge_map(g) == {(0, 1): 1.0}
 
     def test_complete_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -392,6 +401,7 @@ class TestGenerators:
 
     def test_bipartite_b_two_colorable(self, bipartite_b):
         """Breadth-first 2-coloring must succeed (bipartiteness oracle)."""
+        weights = adjacency(bipartite_b)
         color = np.full(bipartite_b.n, -1)
         for start in range(bipartite_b.n):
             if color[start] >= 0:
@@ -400,7 +410,7 @@ class TestGenerators:
             queue = [start]
             while queue:
                 u = queue.pop(0)
-                for v in np.flatnonzero(bipartite_b.weights[u]):
+                for v in np.flatnonzero(weights[u]):
                     if color[v] < 0:
                         color[v] = 1 - color[u]
                         queue.append(int(v))
@@ -534,7 +544,7 @@ class TestEdgeListCore:
         if w.size and w.max() > 1.0:
             w = w / w.max()
         dense = Graph(n=n, weights=w)
-        assert np.array_equal(loaded.weights, dense.weights)
+        assert np.array_equal(adjacency(loaded), adjacency(dense))
         assert np.array_equal(loaded.degrees, dense.degrees)
         assert np.array_equal(loaded.edges, dense.edges)
         assert np.array_equal(loaded.edge_weights, dense.edge_weights)
@@ -557,7 +567,7 @@ class TestEdgeListCore:
         assert (again.n, again.index_base) == (g.n, g.index_base)
         assert np.array_equal(again.edges, g.edges)
         assert np.array_equal(again.edge_weights.view(np.int64), g.edge_weights.view(np.int64))
-        assert np.array_equal(again.weights, g.weights)
+        assert np.array_equal(adjacency(again), adjacency(g))
 
     def test_rescaled_weights_reload_bit_for_bit(self):
         g = load_edge_list("nodes 4\n0 1 2\n1 2 3\n2 3 5\n3 0 7\n0 2 0.1\n")
@@ -567,23 +577,18 @@ class TestEdgeListCore:
 
     def test_arrays_are_read_only_and_graph_is_frozen(self):
         g = load_edge_list("nodes 3\n0 1\n1 2 0.5\n")
-        for a in (g.edges, g.edge_weights, g.degrees, g.weights):
+        for a in (g.edges, g.edge_weights, g.degrees):
             with pytest.raises(ValueError):
                 a[0] = 0
         with pytest.raises(AttributeError):
             g.n = 4
-
-    def test_weights_built_once_on_first_access(self):
-        g = load_edge_list("nodes 3\n0 1\n1 2 0.5\n")
-        assert g.weights is g.weights
-        assert g.weights[1, 2] == g.weights[2, 1] == 0.5
 
     def test_derived_arrays_are_cached_and_the_fields_keep_their_type(self):
         """Reading the arrays of a loaded graph leaves its fields the loader's lists."""
         g = load_edge_list("nodes 4\n0 1\n2 1 0.5\n")
         fields = (g._edges, g._edge_weights, g._degrees)
         assert fields == ([(0, 1), (1, 2)], [1.0, 0.5], [1.0, 1.5, 0.5, 0.0])
-        for name in ("edges", "edge_weights", "degrees", "weights"):
+        for name in ("edges", "edge_weights", "degrees"):
             a = getattr(g, name)
             assert getattr(g, name) is a and not a.flags.writeable, name
         assert all(now is then for now, then in zip((g._edges, g._edge_weights, g._degrees),
@@ -594,7 +599,13 @@ class TestEdgeListCore:
     def test_arrays_of_an_array_built_graph_are_not_copied(self):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
         dense = Graph(2, w)
-        assert dense.weights is dense.weights and not np.shares_memory(dense.weights, w)
+        assert w.flags.writeable
+        w[0, 1] = w[1, 0] = 0.25
+        assert edge_map(dense) == {(0, 1): 0.5}
+        assert dense.degrees.tolist() == [0.5, 0.5]
+        same = Graph.from_edges(2, [(0, 1)], [0.5])
+        for kind in RepresentationKind:
+            assert np.array_equal(spectrum(dense, kind).values, spectrum(same, kind).values), kind
         for g in (dense, Graph.from_edges(3, [(0, 1)], [1.0])):
             for name in ("edges", "edge_weights", "degrees"):
                 a = getattr(g, name)
@@ -905,7 +916,7 @@ class TestRecords:
 
     def test_fields_refuse_assignment_and_deletion(self):
         g = load_edge_list("nodes 3\n0 1\n")
-        for record, name in ((g, "n"), (g, "weights"), (degree_summary(g), "d_min"),
+        for record, name in ((g, "n"), (g, "edges"), (degree_summary(g), "d_min"),
                              (degree_summary(g), "_memo"), (connected_components(g), "labels"),
                              (ClassTag(1, 2), "k")):
             with pytest.raises(AttributeError):

@@ -8,10 +8,13 @@ Ground truth, all derivable by hand:
 - disjoint unions: spectrum is the multiset union of component spectra
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspectra import (
     EigensolverError,
@@ -21,9 +24,11 @@ from graphspectra import (
     UndefinedRepresentationError,
     build_matrix,
     connected_components,
+    degree_summary,
     disjoint_union,
     eig_sym,
     gap_differences,
+    gen_bipartite_b,
     gen_complete,
     gen_graph_c,
     gen_star,
@@ -58,6 +63,75 @@ def random_graph(rng, n, p=0.5):
             if rng.random() < p:
                 w[i, j] = w[j, i] = 1.0
     return Graph(n=n, weights=w)
+
+
+def dense_weights(g):
+    """The n x n weight matrix assembled from the graph's edges."""
+    a = np.zeros((g.n, g.n))
+    u, v = g.edges.T
+    a[u, v] = a[v, u] = g.edge_weights
+    return a
+
+
+def reference_matrix(a, degrees, kind):
+    """The representation matrix formed from the dense weight matrix a, as a
+    whole-matrix reference for build_matrix: D - A, then for L_sym the
+    power-of-four scaling of D - A by outer sums and products."""
+    a = np.array(a)
+    if kind is A:
+        return a
+    lap = np.diag(degrees) - a
+    if kind is L:
+        return lap
+    if len(degrees) == 0 or degrees.min() == 0.0:
+        raise UndefinedRepresentationError(
+            "normalised Laplacian is undefined for d_min = 0 (isolated vertex)")
+    mantissa, binary = np.frexp(degrees)
+    e = (binary + 1) // 2
+    t = 1.0 / np.sqrt(np.ldexp(mantissa, binary - 2 * e))
+    np.ldexp(lap, np.add.outer(-e, -e), out=lap)
+    lap *= np.outer(t, t)
+    return lap
+
+
+def matrix_or_message(build, *args):
+    """The matrix's shape, dtype and bytes, or the type and message of what was raised."""
+    try:
+        m = build(*args)
+    except UndefinedRepresentationError as exc:
+        return type(exc), str(exc)
+    return m.shape, m.dtype, m.tobytes()
+
+
+@st.composite
+def routed_graphs(draw):
+    """(graph, the dense weights it was built from or implies) for a random
+    graph built by the loader, by from_edges or from its dense matrix.
+
+    Weights lie in (0, 1], around 1e-300, or are one of those mixed with the
+    subnormal 1e-320; some graphs have isolated vertices.
+    """
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    tiny = st.floats(min_value=1e-301, max_value=1e-299)
+    weight = draw(st.sampled_from([
+        unit, tiny, st.one_of(unit, st.just(1e-320)), st.one_of(tiny, st.just(1e-320))]))
+    weights = [draw(weight) for _ in chosen]
+    route = draw(st.sampled_from(["load", "from_edges", "dense"]))
+    if route == "load":
+        lines = "".join(f"{u} {v} {w!r}\n" for (u, v), w in zip(chosen, weights))
+        g = load_edge_list(f"nodes {n}\n{lines}")
+        assert isinstance(g._edges, list)
+        return g, dense_weights(g)
+    if route == "from_edges":
+        g = Graph.from_edges(n, np.array(chosen, dtype=np.intp).reshape(-1, 2), weights)
+        return g, dense_weights(g)
+    w = np.zeros((n, n))
+    for (u, v), weight in zip(chosen, weights):
+        w[u, v] = w[v, u] = weight
+    return Graph(n, w), w
 
 
 class TestBuildMatrix:
@@ -106,6 +180,51 @@ class TestBuildMatrix:
             inv_sqrt = 1.0 / np.sqrt(g.degrees)
             direct = build_matrix(g, L) * np.outer(inv_sqrt, inv_sqrt)
             assert build_matrix(g, LRW).tobytes() == direct.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(routed_graphs(), st.sampled_from(ALL_KINDS))
+    def test_bit_for_bit_with_the_dense_reference(self, case, kind):
+        """Built from the edges, each matrix has the bytes, signed zeros
+        included, of the one formed from the dense weights; where that one
+        is refused, so is this, with the same message."""
+        g, w = case
+        assert (matrix_or_message(build_matrix, g, kind)
+                == matrix_or_message(reference_matrix, w, g.degrees, kind))
+
+    @pytest.mark.parametrize("name", ["karate", "c18", "bipartiteb", "star18", "n0", "n1",
+                                      "isolated", "subnormal"])
+    def test_named_graphs_bit_for_bit_with_the_dense_reference(self, name):
+        g = {"karate": karate_graph, "c18": lambda: gen_graph_c(18),
+             "bipartiteb": gen_bipartite_b, "star18": lambda: gen_star(18),
+             "n0": lambda: load_edge_list("nodes 0\n"), "n1": lambda: Graph(1, np.zeros((1, 1))),
+             "isolated": lambda: load_edge_list("nodes 3\n0 1 0.5\n"),
+             "subnormal": lambda: load_edge_list("nodes 3\n0 1 1e-320\n1 2 1\n")}[name]()
+        outcomes = {}
+        for kind in ALL_KINDS:
+            outcomes[kind] = matrix_or_message(reference_matrix, dense_weights(g), g.degrees, kind)
+            assert matrix_or_message(build_matrix, g, kind) == outcomes[kind], kind
+        refused = outcomes[LRW][0] is UndefinedRepresentationError
+        assert refused == (degree_summary(g).d_min == 0.0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_dense_array_at_the_peak(self, kind):
+        """The matrix is the only n x n array made: on a graph of mean degree
+        20 the peak stays within a quarter of 8 n^2 bytes above the matrix.
+        The edge arrays are the graph's, made on first access and kept."""
+        rng = np.random.default_rng(11)
+        n = 200
+        g = load_edge_list(f"nodes {n}\n" + "".join(
+            f"{i} {j} {rng.uniform(0.1, 1.0)!r}\n"
+            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1))
+        g.edges, g.edge_weights, g.degrees
+        tracemalloc.start()
+        try:
+            m = build_matrix(g, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (n, n)
+        assert peak <= 1.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 n^2 bytes"
 
 
 class TestEigSym:
@@ -202,7 +321,7 @@ class TestSolverHealthChecks:
         """With weights 1e-12 the support is a few 1e-12 long: an eigenvalue
         1e-15 past it is caught, although an absolute slack of 1e-9 would
         let it through."""
-        g = Graph(n=3, weights=path3().weights * 1e-12)
+        g = Graph(n=3, weights=build_matrix(path3(), A) * 1e-12)
         hi = spectral_support(kind, float(g.degrees.max()))[1]
         solve = spectra.eig_sym
 
@@ -242,8 +361,9 @@ class TestSpectrum:
     def test_eigensystem_vectors_are_the_kinds_own(self, karate, kind):
         """Column i solves M v = lambda_i v for the kind's own M: D^{-1}(D - A) for Lrw."""
         spec, vectors = spectra.eigensystem(karate, kind)
-        lap = np.diag(karate.degrees) - karate.weights
-        m = {A: karate.weights, L: lap, LRW: lap / karate.degrees[:, None]}[kind]
+        a = dense_weights(karate)
+        lap = np.diag(karate.degrees) - a
+        m = {A: a, L: lap, LRW: lap / karate.degrees[:, None]}[kind]
         assert np.abs(m @ vectors - vectors * spec.values).max() < 1e-10
 
     def test_memoised_on_the_graph_and_read_only(self):
