@@ -57,12 +57,17 @@ class PairBounds:
 
 @dataclass(frozen=True, eq=False)
 class PairDifferences:
-    """Index-wise signed differences target - transformed(source) for one pair."""
+    """Index-wise signed differences target - transformed(source) for one pair.
+
+    ``max_abs_delta`` is max |deltas| (0 for an empty graph), the value
+    ``within_bound`` compares with the bound. The arrays are read-only.
+    """
 
     pair: MatrixPair
     transformed: np.ndarray
     target: np.ndarray
     deltas: np.ndarray
+    max_abs_delta: float
     bound: float
     within_bound: bool
 
@@ -83,16 +88,20 @@ class GapDifferences:
     ``diffs`` compares eigengaps each normalised by its own spectral
     support. The primed variant (Lrw pairs only) compares transformed
     eigengaps against Lrw eigengaps, both scaled by half, and is bounded
-    by the corresponding eigenvalue bound.
+    by the corresponding eigenvalue bound. ``max_gap_difference`` and
+    ``max_primed_difference`` are the largest entries the two verdicts
+    compare with their bounds. The arrays are read-only.
     """
 
     pair: MatrixPair
     source_gaps: np.ndarray
     target_gaps: np.ndarray
     diffs: np.ndarray
+    max_gap_difference: float
     bound: float
     within_bound: bool
     primed_diffs: Optional[np.ndarray]
+    max_primed_difference: Optional[float]
     primed_bound: Optional[float]
     primed_within: Optional[bool]
 
@@ -150,9 +159,32 @@ def _affine(pair: MatrixPair, ds: DegreeSummary) -> tuple[float, float]:
     return 1.0, -c
 
 
-def _within(values: np.ndarray, bound: float) -> bool:
-    """max |values| <= bound, allowing BOUND_SLACK for rounding; a NaN value is never within."""
-    return bool(np.abs(values).max(initial=0.0) <= bound + BOUND_SLACK)
+def _largest(values: np.ndarray) -> float:
+    """max |values|, 0 when there are none and NaN when any value is NaN."""
+    return float(np.abs(values).max(initial=0.0))
+
+
+def _within(largest: float, bound: float) -> bool:
+    """largest <= bound, allowing BOUND_SLACK for rounding; a NaN value is never within."""
+    return largest <= bound + BOUND_SLACK
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _recorded(build, pair: MatrixPair, g: Graph):
+    """build(pair, g), computed once per graph, which is immutable, and then returned as is.
+
+    The record is kept on the graph only when build returns, so a call
+    that raises raises again, with the same message, on every call.
+    """
+    key = (build, pair)
+    record = g._pair_records.get(key)
+    if record is None:
+        record = g._pair_records[key] = build(pair, g)
+    return record
 
 
 def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np.ndarray:
@@ -217,19 +249,28 @@ def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
 
     The sign convention makes e.g. the A_L entries read lambda_i - f1(mu_i).
     ``within_bound`` checks max |delta| against the pair's closed-form bound.
+    Memoised on the graph: every call for the same graph and pair returns
+    the same record.
     """
+    return _recorded(_pair_differences, pair, g)
+
+
+def _pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
     ds = degree_summary(g)
     source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
     transformed = apply_transform(pair, ds, source)
     deltas = target.values - transformed
+    _freeze(transformed, deltas)
+    largest = _largest(deltas)
     bound = pair_bounds(ds)[pair].eigenvalue
     return PairDifferences(
         pair=pair,
         transformed=transformed,
         target=target.values,
         deltas=deltas,
+        max_abs_delta=largest,
         bound=bound,
-        within_bound=_within(deltas, bound),
+        within_bound=_within(largest, bound),
     )
 
 
@@ -261,29 +302,40 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
 
     For the Lrw pairs the primed quantities are also returned: half the
     absolute difference between the transformed raw eigengap and the Lrw
-    eigengap, bounded by e(L,Lrw) resp. e'(A,Lrw).
+    eigengap, bounded by e(L,Lrw) resp. e'(A,Lrw). Memoised on the graph:
+    every call for the same graph and pair returns the same record.
     """
+    return _recorded(_gap_differences, pair, g)
+
+
+def _gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
     ds = degree_summary(g)
     source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
     source_gaps = normalized_eigengaps(source)
     target_gaps = normalized_eigengaps(target)
     diffs = np.abs(source_gaps - target_gaps)
+    _freeze(diffs)
+    largest = _largest(diffs)
     bounds = pair_bounds(ds)[pair]
     bound, primed_bound = _gap_bound(bounds), bounds.primed
-    primed_diffs = primed_within = None
+    primed_diffs = primed_largest = primed_within = None
     if primed_bound is not None:
         raw_source = source_gaps * source.support_length
         raw_target = target_gaps * target.support_length
         primed_diffs = 0.5 * np.abs(abs(_affine(pair, ds)[1]) * raw_source - raw_target)
-        primed_within = _within(primed_diffs, primed_bound)
+        _freeze(primed_diffs)
+        primed_largest = _largest(primed_diffs)
+        primed_within = _within(primed_largest, primed_bound)
     return GapDifferences(
         pair=pair,
         source_gaps=source_gaps,
         target_gaps=target_gaps,
         diffs=diffs,
+        max_gap_difference=largest,
         bound=bound,
-        within_bound=_within(diffs, bound),
+        within_bound=_within(largest, bound),
         primed_diffs=primed_diffs,
+        max_primed_difference=primed_largest,
         primed_bound=primed_bound,
         primed_within=primed_within,
     )

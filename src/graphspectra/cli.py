@@ -208,14 +208,12 @@ def _per_pair(summary, g: Graph, bounds: dict) -> dict:
 
 
 def _pair_summary(pair: MatrixPair, g: Graph) -> dict:
-    import numpy as np
-
     from .bounds import pair_differences
 
     diffs = pair_differences(pair, g)
     return {
         "bound": diffs.bound,
-        "max_abs_delta": float(np.abs(diffs.deltas).max(initial=0.0)),
+        "max_abs_delta": diffs.max_abs_delta,
         "within_bound": diffs.within_bound,
     }
 
@@ -243,12 +241,12 @@ def _gap_summary(pair: MatrixPair, g: Graph) -> dict:
     gd = gap_differences(pair, g)
     out = {
         "bound": gd.bound,
-        "max_gap_difference": float(gd.diffs.max(initial=0.0)),
+        "max_gap_difference": gd.max_gap_difference,
         "within_bound": gd.within_bound,
     }
     if gd.primed_diffs is not None:
         out["primed_bound"] = gd.primed_bound
-        out["max_primed_difference"] = float(gd.primed_diffs.max(initial=0.0))
+        out["max_primed_difference"] = gd.max_primed_difference
         out["primed_within_bound"] = gd.primed_within
     return out
 

@@ -81,9 +81,10 @@ class Graph(_Frozen):
     order; ``edges``, ``edge_weights`` and ``degrees`` are read-only arrays
     derived on first access and kept. ``rescaled`` is set by the loaders
     when weights above 1 were divided by the maximum weight. Instances are
-    immutable, and so are the spectra and eigenvectors memoised on the
-    instance: a graph keeps each kind's eigenvectors, 8 n^2 bytes, once an
-    eigensystem of that kind has been asked for.
+    immutable, and so are the spectra, eigenvectors and pair records
+    memoised on the instance: a graph keeps each kind's eigenvectors,
+    8 n^2 bytes, once an eigensystem of that kind has been asked for, and
+    each pair's difference and gap records, O(n) bytes, once those have.
     """
 
     n: int
@@ -98,6 +99,9 @@ class Graph(_Frozen):
     _spectra: dict
     # RepresentationKind -> read-only eigenvector columns, filled by spectra.eigensystem only.
     _eigenvectors: dict
+    # (record builder, MatrixPair) -> PairDifferences or GapDifferences with read-only
+    # arrays, O(n) bytes per pair, filled by bounds.pair_differences and bounds.gap_differences.
+    _pair_records: dict
     _shown = ("n", "index_base", "rescaled")
 
     def __init__(self, n: int, weights: np.ndarray, index_base: int = 0) -> None:
@@ -172,7 +176,8 @@ class Graph(_Frozen):
             raise ValueError("index_base must be 0 or 1")
         vars(self).update(n=n, _edges=edges, _edge_weights=edge_weights, _degrees=degrees,
                           index_base=index_base, rescaled=rescaled,
-                          _summary=DegreeSummary(d_min, d_max), _spectra={}, _eigenvectors={})
+                          _summary=DegreeSummary(d_min, d_max), _spectra={}, _eigenvectors={},
+                          _pair_records={})
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -486,6 +491,9 @@ def load_pajek(text: str) -> Graph:
     return _graph_from_edges(n, edges, index_base=1)
 
 
+_FIRST_PREFIX = 1024  # characters load_graph looks at first to pick the parser
+
+
 def load_graph(text: str) -> Graph:
     """Parse a graph file: Pajek if its first line starts with '*', else an edge list.
 
@@ -495,9 +503,15 @@ def load_graph(text: str) -> Graph:
     goes to the wrong parser.
     """
     text = text.removeprefix("\ufeff")
-    lines = (line.strip() for line in text.splitlines())
-    first = next((line for line in lines if line[:1] not in ("", "%", "#")), "")
-    return load_pajek(text) if first.startswith("*") else load_edge_list(text)
+    # The chosen loader splits the whole text, so look only at growing prefixes
+    # of it. A line cut off at a prefix's end shows its first character if any.
+    size = _FIRST_PREFIX
+    while True:
+        marks = (line.lstrip()[:1] for line in text[:size].splitlines())
+        first = next((mark for mark in marks if mark not in ("", "%", "#")), "")
+        if first or size >= len(text):
+            return load_pajek(text) if first == "*" else load_edge_list(text)
+        size *= 8
 
 
 def degree_summary(g: Graph) -> DegreeSummary:

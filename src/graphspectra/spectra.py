@@ -85,11 +85,21 @@ def build_matrix(g: Graph, kind: RepresentationKind) -> np.ndarray:
         # is (L * 2**-(e_i + e_j)) * (t_i * t_j). No step overflows, even on
         # subnormal degrees, and where degrees and entries are normal each
         # step rounds as L * (1/sqrt(d_i) * 1/sqrt(d_j)). The product t_i * t_j
-        # commutes, so the matrix is exactly symmetric.
+        # commutes, so the matrix is exactly symmetric. Each edge's entry,
+        # ldexp(-w, -e_u - e_v) * (t_u * t_v), is formed in reused buffers:
+        # about 20 bytes per edge at the peak.
         mantissa, binary = np.frexp(d)
         e = (binary + 1) // 2
         t = 1.0 / np.sqrt(np.ldexp(mantissa, binary - 2 * e))
-        m[u, v] = m[v, u] = np.ldexp(-w, -e[u] - e[v]) * (t[u] * t[v])
+        scale = t[u]
+        scale *= t[v]
+        exponent = e[u]
+        exponent += e[v]
+        np.negative(exponent, out=exponent)
+        entry = np.negative(w)
+        np.ldexp(entry, exponent, out=entry)
+        entry *= scale
+        m[u, v] = m[v, u] = entry
         np.fill_diagonal(m, np.ldexp(d, -2 * e) * (t * t))
     else:
         raise ValueError(f"unknown representation kind {kind!r}")

@@ -9,6 +9,7 @@ Ground truth used below:
 - C(18) A/L differences: +8, -8 x 18, +8 x 17 -> crossovers at 1 and 19
 """
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -31,6 +32,7 @@ from graphspectra import (
     degree_summary,
     detect_maximal_crossover,
     gap_differences,
+    gen_bipartite_b,
     gen_complete,
     gen_graph_c,
     gen_star,
@@ -44,6 +46,7 @@ from graphspectra import (
 )
 from graphspectra import bounds, spectra
 from graphspectra.bounds import DEFAULT_MERGE_TOL, barycentric_eval
+from graphspectra.data import karate_graph
 from graphspectra.graphs import DegreeSummary
 from graphspectra.spectra import Spectrum
 
@@ -543,6 +546,99 @@ class TestFactsComputedOnce:
             assert gaps.tobytes() == spectra._eigengaps(spec).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 gaps[0] = 1.0
+
+
+def _record_bits(record):
+    """Each field of a pair record, arrays and floats as their bytes."""
+    values = (getattr(record, f.name) for f in dataclasses.fields(record))
+    return tuple(v if isinstance(v, MatrixPair) else _bits(v) for v in values)
+
+
+def _record_or_message(build, pair, g):
+    try:
+        return _record_bits(build(pair, g))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+RECORD_BUILDERS = (pair_differences, gap_differences)
+NAMED_GRAPHS = {
+    "karate": karate_graph,
+    "c18": lambda: gen_graph_c(18),
+    "star18": lambda: gen_star(18),
+    "bipartiteb": gen_bipartite_b,
+    "c4w": lambda: load_edge_list("nodes 4\n0 1 0.5\n1 2 1\n2 3 0.25\n3 0 0.75\n"),
+}
+
+
+class TestPairRecordMemo:
+    """Each pair's difference and gap records are computed once per graph and
+    kept read-only on it; a call that raises keeps nothing."""
+
+    @pytest.mark.parametrize("build", RECORD_BUILDERS)
+    def test_repeat_call_returns_the_same_record(self, build):
+        g = karate_graph()
+        for pair in MatrixPair:
+            assert build(pair, g) is build(pair, g)
+        assert len(g._pair_records) == len(MatrixPair)
+
+    @pytest.mark.parametrize("build", RECORD_BUILDERS)
+    def test_arrays_are_read_only(self, build):
+        g = karate_graph()
+        for pair in MatrixPair:
+            record = build(pair, g)
+            for f in dataclasses.fields(record):
+                value = getattr(record, f.name)
+                if isinstance(value, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        value[0] = 1.0
+
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_memo_hits_match_a_fresh_graph(self, name):
+        make = NAMED_GRAPHS[name]
+        g = make()
+        for build in RECORD_BUILDERS:
+            for pair in MatrixPair:
+                build(pair, g)
+                assert _record_bits(build(pair, g)) == _record_bits(build(pair, make())), (build, pair)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=12),
+           st.floats(min_value=0.2, max_value=1.0))
+    def test_memo_hits_match_a_fresh_weighted_graph(self, seed, n, p):
+        make = lambda: random_weighted_graph(np.random.default_rng(seed), n, p)  # noqa: E731
+        g = make()
+        for build in RECORD_BUILDERS:
+            for pair in MatrixPair:
+                first = _record_or_message(build, pair, g)
+                assert _record_or_message(build, pair, g) == first
+                assert _record_or_message(build, pair, make()) == first
+
+    @pytest.mark.parametrize("text, build, pairs, message", [
+        ("nodes 3\n", gap_differences, [AL], "gap bounds need d_max > 0"),
+        ("nodes 3\n0 1 0.5\n", pair_differences, [LLRW, ALRW], "undefined for d_min = 0"),
+        ("nodes 3\n0 1 0.5\n", gap_differences, [LLRW, ALRW], "undefined for d_min = 0"),
+        ("nodes 2\n0 1 1e-320\n", pair_differences, [LLRW, ALRW], "2/\\(d_max \\+ d_min\\) overflows"),
+        ("nodes 2\n0 1 1e-320\n", gap_differences, [LLRW, ALRW], "2/\\(d_max \\+ d_min\\) overflows"),
+    ], ids=["edgeless-gaps", "isolated", "isolated-gaps", "subnormal", "subnormal-gaps"])
+    def test_failures_are_not_memoised(self, text, build, pairs, message):
+        g = load_edge_list(text)
+        for pair in pairs:
+            raised = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message) as excinfo:
+                    build(pair, g)
+                raised.append((type(excinfo.value), str(excinfo.value)))
+            assert raised[0] == raised[1]
+        assert g._pair_records == {}
+
+    def test_weyl_check_reads_the_memoised_a_l_record(self):
+        g = karate_graph()
+        a_l = pair_differences(AL, g)
+        with mock.patch.object(bounds, "apply_transform", wraps=bounds.apply_transform) as mapped:
+            report = weyl_check(g)
+        assert mapped.call_count == 0
+        assert report.differences.tobytes() == (a_l.transformed - a_l.target).tobytes()
 
 
 class TestWeylCheck:

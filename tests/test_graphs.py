@@ -8,6 +8,7 @@ block-diagonal unions.
 import os
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from graphspectra import (
     normalized_eigengaps,
     spectrum,
 )
+from graphspectra import graphs
 from graphspectra.data import karate_net_path
 from graphspectra.graphs import (
     ClassTag,
@@ -236,6 +238,17 @@ class TestLoadGraph:
         assert (g.n, g.index_base, g.rescaled) == (expected.n, expected.index_base, expected.rescaled)
         for name in ("edges", "edge_weights", "degrees"):
             assert np.array_equal(getattr(g, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("text", [
+        "% comment\n" * 200 + "*Vertices 2\n*Edges\n1 2\n",
+        "#" + "x" * 3000 + "\nnodes 2\n0 1\n",
+        " " * 1500 + "\n*Vertices 1\n",
+        "\n" + "\r\n" * 700 + "\t*Vertices 1\n",
+        "\n" * 1023 + " \u2028*Vertices 1\n",
+        "% comment\n" * 900,
+    ], ids=["comments", "long-comment", "blank", "crlf", "separator", "no-header"])
+    def test_first_line_past_the_first_prefix(self, text):
+        assert _graph_or_message(load_graph, text) == _graph_or_message(_reference_load_graph, text)
 
     @pytest.mark.parametrize("text, message", [
         ("", "missing 'nodes N' header"),
@@ -858,6 +871,14 @@ def _reference_load_pajek(text):
     return _graph_from_edges(n, edges, index_base=1)
 
 
+def _reference_load_graph(text):
+    """load_graph as it was: one full split of the text picks the loader."""
+    text = text.removeprefix("\ufeff")
+    lines = (line.strip() for line in text.splitlines())
+    first = next((line for line in lines if line[:1] not in ("", "%", "#")), "")
+    return (_reference_load_pajek if first.startswith("*") else _reference_load_edge_list)(text)
+
+
 def _graph_or_message(load, text):
     """The loaded graph's n, base, rescale flag and array bytes, or the GraphFormatError message."""
     try:
@@ -879,6 +900,15 @@ class TestLoadersMatchTheReference:
                                 (load_pajek, _reference_load_pajek)):
             for t in (text, text.removeprefix("\ufeff")):
                 assert _graph_or_message(load, t) == _graph_or_message(reference, t), load
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mutated_files(), st.sampled_from([1, 2, 5, 1024]))
+    def test_parser_choice(self, case, prefix):
+        """load_graph picks the parser from prefixes of the text; cut anywhere, they pick as
+        one full split does."""
+        text = case[0]
+        with mock.patch.object(graphs, "_FIRST_PREFIX", prefix):
+            assert _graph_or_message(load_graph, text) == _graph_or_message(_reference_load_graph, text)
 
     @pytest.mark.parametrize("text", [
         "nodes 3\n0 1 \u0661\n",
