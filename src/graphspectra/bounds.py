@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .graphs import DegreeSummary, Graph, degree_summary
+from .graphs import DegreeSummary, Graph, _memoised, degree_summary
 from .spectra import Spectrum, normalized_eigengaps, spectrum
 from .vocabulary import (
     DEFAULT_CROSSOVER_TOL,
@@ -174,19 +174,6 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def _recorded(build, pair: MatrixPair, g: Graph):
-    """build(pair, g), computed once per graph, which is immutable, and then returned as is.
-
-    The record is kept on the graph only when build returns, so a call
-    that raises raises again, with the same message, on every call.
-    """
-    key = (build, pair)
-    record = g._pair_records.get(key)
-    if record is None:
-        record = g._pair_records[key] = build(pair, g)
-    return record
-
-
 def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np.ndarray:
     """Map a pair's source spectrum onto its target's scale, index-aligned.
 
@@ -214,27 +201,23 @@ def pair_bounds(ds: DegreeSummary) -> Mapping[MatrixPair, Optional[PairBounds]]:
     Fractions. Computed once per summary, which is immutable, and shared
     as a read-only mapping.
     """
-    bounds = ds._memo.get("pair_bounds")
-    if bounds is None:
-        bounds = ds._memo["pair_bounds"] = MappingProxyType(_pair_bounds(ds))
-    return bounds
+    return _memoised(ds, _pair_bounds)
 
 
-def _pair_bounds(ds: DegreeSummary) -> dict[MatrixPair, Optional[PairBounds]]:
+def _pair_bounds(ds: DegreeSummary) -> Mapping[MatrixPair, Optional[PairBounds]]:
     diff = ds.d_max - ds.d_min
     g_al = diff / (2 * ds.d_max) if ds.d_max > 0 else None
     bounds = {MatrixPair.A_L: PairBounds(eigenvalue=diff / 2, gap=g_al, primed=None),
               MatrixPair.L_LRW: None, MatrixPair.A_LRW: None}
-    if ds.d_min == 0:  # a sum of positive weights is 0 only for an isolated vertex
-        return bounds
-    total = ds.d_max + ds.d_min
-    e_llrw = 2 * diff / total
-    e_alrw = 3 * diff / total
-    e_prime = e_alrw if ds.d_max <= 5 * ds.d_min else 2.0
-    bounds[MatrixPair.L_LRW] = PairBounds(eigenvalue=e_llrw, gap=2 * diff / ds.d_max, primed=e_llrw)
-    # 5*diff/2 rounds as 2.5*diff does, short of overflow, and stays exact on Fractions.
-    bounds[MatrixPair.A_LRW] = PairBounds(eigenvalue=e_alrw, gap=5 * diff / 2 / ds.d_max, primed=e_prime)
-    return bounds
+    if ds.d_min != 0:  # a sum of positive weights is 0 only for an isolated vertex
+        total = ds.d_max + ds.d_min
+        e_llrw = 2 * diff / total
+        e_alrw = 3 * diff / total
+        e_prime = e_alrw if ds.d_max <= 5 * ds.d_min else 2.0
+        bounds[MatrixPair.L_LRW] = PairBounds(eigenvalue=e_llrw, gap=2 * diff / ds.d_max, primed=e_llrw)
+        # 5*diff/2 rounds as 2.5*diff does, short of overflow, and stays exact on Fractions.
+        bounds[MatrixPair.A_LRW] = PairBounds(eigenvalue=e_alrw, gap=5 * diff / 2 / ds.d_max, primed=e_prime)
+    return MappingProxyType(bounds)
 
 
 def _gap_bound(bounds: PairBounds) -> float:
@@ -252,10 +235,10 @@ def pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
     Memoised on the graph: every call for the same graph and pair returns
     the same record.
     """
-    return _recorded(_pair_differences, pair, g)
+    return _memoised(g, _pair_differences, pair)
 
 
-def _pair_differences(pair: MatrixPair, g: Graph) -> PairDifferences:
+def _pair_differences(g: Graph, pair: MatrixPair) -> PairDifferences:
     ds = degree_summary(g)
     source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
     transformed = apply_transform(pair, ds, source)
@@ -305,10 +288,10 @@ def gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
     eigengap, bounded by e(L,Lrw) resp. e'(A,Lrw). Memoised on the graph:
     every call for the same graph and pair returns the same record.
     """
-    return _recorded(_gap_differences, pair, g)
+    return _memoised(g, _gap_differences, pair)
 
 
-def _gap_differences(pair: MatrixPair, g: Graph) -> GapDifferences:
+def _gap_differences(g: Graph, pair: MatrixPair) -> GapDifferences:
     ds = degree_summary(g)
     source, target = (spectrum(g, kind) for kind in PAIR_KINDS[pair])
     source_gaps = normalized_eigengaps(source)

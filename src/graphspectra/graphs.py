@@ -17,7 +17,7 @@ import os
 from collections import deque
 from enum import Enum
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -68,23 +68,16 @@ class Graph(_Frozen):
 
     A graph is its edge list: row i of ``edges`` is an upper-triangle pair
     u < v, rows in lexicographic order without repeats, and
-    ``edge_weights[i]`` its weight. The degree vector and its extremes are
-    computed from them once, at construction. ``Graph(n, weights)`` takes a
-    dense symmetric matrix, reads its upper-triangle nonzeros as the edges
-    and keeps neither the matrix nor a copy of it; :meth:`from_edges` takes
-    the edge arrays directly. The graph keeps no dense matrix: each kind's
-    n x n matrix is built from the edges by ``spectra.build_matrix`` when
-    its spectrum is first asked for.
-
-    A graph built from vertex pairs (loaded, generated or a disjoint union)
-    keeps Python lists and sums its degrees in Python in ``np.bincount``'s
-    order; ``edges``, ``edge_weights`` and ``degrees`` are read-only arrays
-    derived on first access and kept. ``rescaled`` is set by the loaders
-    when weights above 1 were divided by the maximum weight. Instances are
-    immutable, and so are the spectra, eigenvectors and pair records
-    memoised on the instance: a graph keeps each kind's eigenvectors,
-    8 n^2 bytes, once an eigensystem of that kind has been asked for, and
-    each pair's difference and gap records, O(n) bytes, once those have.
+    ``edge_weights[i]`` its weight. ``Graph(n, weights)`` reads the
+    upper-triangle nonzeros of a dense symmetric matrix as the edges and
+    keeps neither the matrix nor a copy; :meth:`from_edges` takes the edge
+    arrays directly. A graph built from vertex pairs (loaded, generated or
+    a disjoint union) keeps Python lists and sums its degrees in Python in
+    ``np.bincount``'s order; ``edges``, ``edge_weights`` and ``degrees``
+    are read-only arrays derived on first access and kept. ``rescaled`` is
+    set by the loaders when weights above 1 were divided by the maximum
+    weight. Instances are immutable; facts computed from one are kept in
+    its ``_memo`` by :func:`_memoised`.
     """
 
     n: int
@@ -95,13 +88,7 @@ class Graph(_Frozen):
     _edge_weights: object
     _degrees: object
     _summary: DegreeSummary
-    # RepresentationKind -> Spectrum, filled by spectra.spectrum and spectra.eigensystem.
-    _spectra: dict
-    # RepresentationKind -> read-only eigenvector columns, filled by spectra.eigensystem only.
-    _eigenvectors: dict
-    # (record builder, MatrixPair) -> PairDifferences or GapDifferences with read-only
-    # arrays, O(n) bytes per pair, filled by bounds.pair_differences and bounds.gap_differences.
-    _pair_records: dict
+    _memo: dict
     _shown = ("n", "index_base", "rescaled")
 
     def __init__(self, n: int, weights: np.ndarray, index_base: int = 0) -> None:
@@ -176,13 +163,17 @@ class Graph(_Frozen):
             raise ValueError("index_base must be 0 or 1")
         vars(self).update(n=n, _edges=edges, _edge_weights=edge_weights, _degrees=degrees,
                           index_base=index_base, rescaled=rescaled,
-                          _summary=DegreeSummary(d_min, d_max), _spectra={}, _eigenvectors={},
-                          _pair_records={})
+                          _summary=DegreeSummary(d_min, d_max), _memo={})
 
     @cached_property
     def edges(self) -> np.ndarray:
         """The m x 2 intp array of pairs u < v in lexicographic order, read-only."""
-        return _read_only(self._edges, "intp", (-1, 2))
+        edges = self._edges
+        if isinstance(edges, list):  # flattened in one pass: an array of m tuples peaks at 48 bytes an edge
+            import numpy as np
+
+            edges = np.fromiter(chain.from_iterable(edges), np.intp, count=2 * len(edges))
+        return _read_only(edges, "intp", (-1, 2))
 
     @cached_property
     def edge_weights(self) -> np.ndarray:
@@ -201,6 +192,24 @@ class Graph(_Frozen):
         return self._edges.tolist(), self._edge_weights.tolist()
 
 
+def _memoised(owner, build, *args):
+    """``build(owner, *args)``, computed once per owner, which is immutable, and then returned as is.
+
+    The value is kept in ``owner._memo`` under ``(build, *args)``, and only
+    when build returns, so a call that raises raises again, with the same
+    message, on every call. ``build`` is a module's private function: the
+    public ones may be rebound (a tracer wraps them), and a key holding
+    the owner would keep it alive in a reference cycle.
+    """
+    key = (build, *args)
+    try:
+        return owner._memo[key]
+    except KeyError:
+        pass
+    value = owner._memo[key] = build(owner, *args)
+    return value
+
+
 def _read_only(values, dtype: str, shape: tuple) -> np.ndarray:
     """``values`` as a read-only array, not copied when it is an array of that dtype."""
     import numpy as np
@@ -214,15 +223,14 @@ class DegreeSummary(_Value):
     """The degree extremes (d_min, d_max) of a graph or of a degree-extreme class.
 
     The bounds depend on the extremes alone; a graph's degree vector is
-    ``Graph.degrees``. Immutable, so the pair bounds computed from the
-    extremes are memoised on the instance. Summaries compare and hash by the
-    extremes alone, so Fraction and float extremes of equal value are equal.
+    ``Graph.degrees``. Immutable; what is computed from it is kept in its
+    ``_memo``. Summaries compare and hash by the extremes alone, so Fraction
+    and float extremes of equal value are equal.
     """
 
     _shown = ("d_min", "d_max")
 
     def __init__(self, d_min: float, d_max: float) -> None:
-        # _memo has one entry, "pair_bounds": every pair's PairBounds, filled by bounds.pair_bounds.
         vars(self).update(d_min=d_min, d_max=d_max, _memo={})
 
 

@@ -9,8 +9,8 @@ from the symmetric ones.
 
 Eigendecomposition uses LAPACK ``eigh`` on the exactly symmetric matrix;
 every result is checked for residual and orthonormality before use. Each
-graph memoises its spectra and, once an eigensystem of a kind is asked
-for, that kind's eigenvectors.
+graph keeps its spectra and, once an eigensystem of a kind is asked for,
+that kind's eigenvectors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, degree_summary
+from .graphs import Graph, _memoised, degree_summary
 from .vocabulary import EigensolverError, RepresentationKind
 
 RESIDUAL_TOL = 1e-8
@@ -54,7 +54,13 @@ class Spectrum:
     @cached_property
     def _normalized_gaps(self) -> np.ndarray:
         """The read-only normalised eigengaps; see :func:`normalized_eigengaps`."""
-        gaps = _eigengaps(self)
+        if self.n < 2:
+            raise ValueError("eigengaps need at least two eigenvalues")
+        gaps = np.abs(np.diff(self.values))  # sorted, up or down: |diff| is each gap
+        if self.support_length == 0.0:
+            gaps[:] = 0.0
+        else:
+            gaps /= self.support_length
         gaps.setflags(write=False)
         return gaps
 
@@ -165,13 +171,8 @@ def eigensystem(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarra
     vectors, which the graph keeps (8 n^2 bytes per kind). The Spectrum is
     always the one :func:`spectrum` returns for the graph and kind.
     """
-    vectors = g._eigenvectors.get(kind)
-    if vectors is None:
-        spec, vectors = _solve(g, kind)
-        vectors.setflags(write=False)
-        g._spectra.setdefault(kind, spec)
-        g._eigenvectors[kind] = vectors
-    return g._spectra[kind], vectors
+    vectors = _memoised(g, _vectors, kind)
+    return spectrum(g, kind), vectors
 
 
 def spectrum(g: Graph, kind: RepresentationKind) -> Spectrum:
@@ -181,10 +182,20 @@ def spectrum(g: Graph, kind: RepresentationKind) -> Spectrum:
     graph and kind returns the same Spectrum, whose values are read-only.
     The eigenvectors are not kept; only :func:`eigensystem` keeps them.
     """
-    spec = g._spectra.get(kind)
-    if spec is None:
-        spec = g._spectra[kind] = _solve(g, kind)[0]
-    return spec
+    return _memoised(g, _values, kind)
+
+
+def _values(g: Graph, kind: RepresentationKind) -> Spectrum:
+    return _solve(g, kind)[0]
+
+
+def _vectors(g: Graph, kind: RepresentationKind) -> np.ndarray:
+    """The kind's read-only eigenvectors, newly solved; the Spectrum of the same
+    solve becomes the kind's spectrum unless the graph has one already."""
+    spec, vectors = _solve(g, kind)
+    vectors.setflags(write=False)
+    g._memo.setdefault((_values, kind), spec)
+    return vectors
 
 
 def _solve(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarray]:
@@ -215,12 +226,3 @@ def normalized_eigengaps(s: Spectrum) -> np.ndarray:
     call returns the same read-only array.
     """
     return s._normalized_gaps
-
-
-def _eigengaps(s: Spectrum) -> np.ndarray:
-    if s.n < 2:
-        raise ValueError("eigengaps need at least two eigenvalues")
-    gaps = np.abs(np.diff(s.values))  # sorted, up or down: |diff| is each gap
-    if s.support_length == 0.0:
-        return np.zeros_like(gaps)
-    return gaps / s.support_length

@@ -10,6 +10,7 @@ Ground truth used below:
 """
 
 import dataclasses
+import inspect
 import math
 import sys
 import warnings
@@ -529,7 +530,8 @@ class TestFactsComputedOnce:
         rng = np.random.default_rng(21)
         g, h = random_graph(rng, 32), random_graph(rng, 32)
         assert degree_summary(g).d_min > 0 and degree_summary(h).d_min > 0
-        with mock.patch.object(spectra, "_eigengaps", wraps=spectra._eigengaps) as gaps, \
+        normalized_gaps = vars(spectra.Spectrum)["_normalized_gaps"]  # the cached property
+        with mock.patch.object(normalized_gaps, "func", wraps=normalized_gaps.func) as gaps, \
                 mock.patch.object(bounds, "_pair_bounds", wraps=bounds._pair_bounds) as pb:
             self._analyse(g)
             assert (gaps.call_count, pb.call_count) == (3, 1)
@@ -543,7 +545,7 @@ class TestFactsComputedOnce:
             spec = spectrum(karate, kind)
             gaps = normalized_eigengaps(spec)
             assert normalized_eigengaps(spec) is gaps
-            assert gaps.tobytes() == spectra._eigengaps(spec).tobytes()
+            assert gaps.tobytes() == vars(spectra.Spectrum)["_normalized_gaps"].func(spec).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 gaps[0] = 1.0
 
@@ -562,6 +564,14 @@ def _record_or_message(build, pair, g):
 
 
 RECORD_BUILDERS = (pair_differences, gap_differences)
+
+
+def _kept_records(g):
+    """The pair records in the graph's memo, by their memo keys."""
+    builders = (bounds._pair_differences, bounds._gap_differences)
+    return {key: value for key, value in g._memo.items() if key[0] in builders}
+
+
 NAMED_GRAPHS = {
     "karate": karate_graph,
     "c18": lambda: gen_graph_c(18),
@@ -580,7 +590,7 @@ class TestPairRecordMemo:
         g = karate_graph()
         for pair in MatrixPair:
             assert build(pair, g) is build(pair, g)
-        assert len(g._pair_records) == len(MatrixPair)
+        assert len(_kept_records(g)) == len(MatrixPair)
 
     @pytest.mark.parametrize("build", RECORD_BUILDERS)
     def test_arrays_are_read_only(self, build):
@@ -630,7 +640,38 @@ class TestPairRecordMemo:
                     build(pair, g)
                 raised.append((type(excinfo.value), str(excinfo.value)))
             assert raised[0] == raised[1]
-        assert g._pair_records == {}
+        assert _kept_records(g) == {}
+
+    def test_hits_survive_rebinding_the_public_functions(self, monkeypatch):
+        """A warm graph still hits its memo after its public functions are
+        wrapped wherever they are bound, as a tracer wraps them: no solve runs
+        again and every record is the object computed before the wrapping."""
+        g = karate_graph()
+        ds = degree_summary(g)
+        warm = {(build, pair): build(pair, g) for build in RECORD_BUILDERS for pair in MatrixPair}
+        warm_bounds = pair_bounds(ds)
+        calls = []
+
+        def wrap(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        originals = {fn: wrap(fn) for fn in (spectra.spectrum, bounds.pair_differences,
+                                             bounds.gap_differences, bounds.pair_bounds)}
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "graphspectra"]:
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in originals:
+                    monkeypatch.setattr(module, attr, originals[value])
+        with mock.patch.object(spectra, "_solve", wraps=spectra._solve) as solve:
+            for (build, pair), record in warm.items():
+                assert getattr(bounds, build.__name__)(pair, g) is record, (build, pair)
+            assert bounds.pair_bounds(ds) is warm_bounds
+            for kind in RepresentationKind:
+                bounds.spectrum(g, kind)
+        assert solve.call_count == 0
+        assert set(calls) == {"spectrum", "pair_differences", "gap_differences", "pair_bounds"}
 
     def test_weyl_check_reads_the_memoised_a_l_record(self):
         g = karate_graph()

@@ -5,6 +5,7 @@ import ast
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -549,6 +550,85 @@ class TestImportCost:
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert '"misplaced": 0' in proc.stdout
+
+
+SMOKE_COMMANDS = Path(__file__).resolve().parent / "smoke_commands.txt"
+
+# Runs the steps in argv[1], a JSON list, in the current directory: ["write", FILE, TEXT]
+# writes a file, any other list is one cli.main call. scipy, pytest and hypothesis are
+# refused on import. Prints what each call returned and wrote to stderr, every warning
+# and every refused import, as JSON.
+_RUN_SMOKE_STEPS = """\
+import contextlib, io, json, sys, warnings
+
+BLOCKED = ("scipy", "pytest", "hypothesis")
+refused = []
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in BLOCKED:
+            refused.append(name)
+            raise ModuleNotFoundError(f"{name} is refused here")
+        return None
+
+
+sys.meta_path.insert(0, Refuse())
+from graphspectra import cli
+
+calls = []
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for step in json.loads(sys.argv[1]):
+        if step[0] == "write":
+            with open(step[1], "w") as f:
+                f.write(step[2])
+            continue
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(step)
+        calls.append([step, code, err.getvalue()])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in BLOCKED)
+print(json.dumps({"calls": calls, "warnings": [str(w.message) for w in caught],
+                  "refused": refused, "loaded": loaded}))
+"""
+
+
+def smoke_steps() -> list[list[str]]:
+    """The lines of the smoke list as argument lists, $data resolved and each write's \\n a newline."""
+    data = str(karate_net_path().parent)
+    steps = []
+    for line in SMOKE_COMMANDS.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            words = shlex.split(line.replace("$data", data))
+            if words[0] == "write":
+                words[2] = words[2].replace("\\n", "\n")
+            steps.append(words)
+    return steps
+
+
+class TestSmokeList:
+    """The smoke list that CI runs one process per command, run in one interpreter."""
+
+    def test_every_command_runs_with_numpy_alone(self, tmp_path):
+        steps = smoke_steps()
+        src = str(Path(graphspectra.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _RUN_SMOKE_STEPS, json.dumps(steps)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        report = json.loads(proc.stdout)
+        assert len(report["calls"]) == sum(step[0] != "write" for step in steps)
+        for argv, code, err in report["calls"]:
+            assert (code, err) == (0, ""), argv
+        assert report["warnings"] == []
+        assert report["refused"] == [] and report["loaded"] == []
+
+    def test_every_subcommand_is_on_the_list(self):
+        subcommands = next(action for action in cli.build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        listed = {step[0] for step in smoke_steps()}
+        assert set(subcommands.choices) <= listed
 
 
 # A sitecustomize module for a child interpreter: when numpy is first imported,
