@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -189,7 +188,7 @@ def apply_transform(pair: MatrixPair, ds: DegreeSummary, source: Spectrum) -> np
     return a + b * source.values
 
 
-def pair_bounds(ds: DegreeSummary) -> Mapping[MatrixPair, Optional[PairBounds]]:
+def pair_bounds(ds: DegreeSummary) -> dict[MatrixPair, Optional[PairBounds]]:
     """Every pair's closed-form bounds for one degree-extreme class; the Lrw pairs None when d_min = 0.
 
     e(A,L)    = (d_max - d_min)/2                   g(A,L)   = (d_max - d_min)/(2 d_max)
@@ -198,13 +197,8 @@ def pair_bounds(ds: DegreeSummary) -> Mapping[MatrixPair, Optional[PairBounds]]:
     e'(A,Lrw) = e(A,Lrw) when d_max <= 5 d_min, else 2 (degenerate transform).
 
     Integer coefficients keep every value exact when the extremes are
-    Fractions. Computed once per summary, which is immutable, and shared
-    as a read-only mapping.
+    Fractions.
     """
-    return _memoised(ds, _pair_bounds)
-
-
-def _pair_bounds(ds: DegreeSummary) -> Mapping[MatrixPair, Optional[PairBounds]]:
     diff = ds.d_max - ds.d_min
     g_al = diff / (2 * ds.d_max) if ds.d_max > 0 else None
     bounds = {MatrixPair.A_L: PairBounds(eigenvalue=diff / 2, gap=g_al, primed=None),
@@ -217,7 +211,7 @@ def _pair_bounds(ds: DegreeSummary) -> Mapping[MatrixPair, Optional[PairBounds]]
         bounds[MatrixPair.L_LRW] = PairBounds(eigenvalue=e_llrw, gap=2 * diff / ds.d_max, primed=e_llrw)
         # 5*diff/2 rounds as 2.5*diff does, short of overflow, and stays exact on Fractions.
         bounds[MatrixPair.A_LRW] = PairBounds(eigenvalue=e_alrw, gap=5 * diff / 2 / ds.d_max, primed=e_prime)
-    return MappingProxyType(bounds)
+    return bounds
 
 
 def _gap_bound(bounds: PairBounds) -> float:
@@ -297,7 +291,7 @@ def _gap_differences(g: Graph, pair: MatrixPair) -> GapDifferences:
     source_gaps = normalized_eigengaps(source)
     target_gaps = normalized_eigengaps(target)
     diffs = np.abs(source_gaps - target_gaps)
-    _freeze(diffs)
+    _freeze(source_gaps, target_gaps, diffs)
     largest = _largest(diffs)
     bounds = pair_bounds(ds)[pair]
     bound, primed_bound = _gap_bound(bounds), bounds.primed

@@ -192,21 +192,21 @@ class Graph(_Frozen):
         return self._edges.tolist(), self._edge_weights.tolist()
 
 
-def _memoised(owner, build, *args):
-    """``build(owner, *args)``, computed once per owner, which is immutable, and then returned as is.
+def _memoised(g: Graph, build, *args):
+    """``build(g, *args)``, computed once per graph, which is immutable, and then returned as is.
 
-    The value is kept in ``owner._memo`` under ``(build, *args)``, and only
+    The value is kept in ``g._memo`` under ``(build, *args)``, and only
     when build returns, so a call that raises raises again, with the same
     message, on every call. ``build`` is a module's private function: the
     public ones may be rebound (a tracer wraps them), and a key holding
-    the owner would keep it alive in a reference cycle.
+    the graph would keep it alive in a reference cycle.
     """
     key = (build, *args)
     try:
-        return owner._memo[key]
+        return g._memo[key]
     except KeyError:
         pass
-    value = owner._memo[key] = build(owner, *args)
+    value = g._memo[key] = build(g, *args)
     return value
 
 
@@ -223,15 +223,14 @@ class DegreeSummary(_Value):
     """The degree extremes (d_min, d_max) of a graph or of a degree-extreme class.
 
     The bounds depend on the extremes alone; a graph's degree vector is
-    ``Graph.degrees``. Immutable; what is computed from it is kept in its
-    ``_memo``. Summaries compare and hash by the extremes alone, so Fraction
-    and float extremes of equal value are equal.
+    ``Graph.degrees``. Fraction and float extremes of equal value compare
+    and hash alike.
     """
 
     _shown = ("d_min", "d_max")
 
     def __init__(self, d_min: float, d_max: float) -> None:
-        vars(self).update(d_min=d_min, d_max=d_max, _memo={})
+        vars(self).update(d_min=d_min, d_max=d_max)
 
 
 class ComponentLabeling(_Frozen):

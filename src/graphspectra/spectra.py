@@ -2,21 +2,14 @@
 
 The three representation matrices of a graph are the adjacency matrix,
 the unnormalised Laplacian D - A, and the random-walk normalised
-Laplacian D^{-1}(D - A). The last shares its eigenvalues with the
-symmetric form D^{-1/2}(D - A)D^{-1/2}, which is what we actually
-decompose; :func:`eigensystem` recovers the random-walk eigenvectors
-from the symmetric ones.
-
-Eigendecomposition uses LAPACK ``eigh`` on the exactly symmetric matrix;
-every result is checked for residual and orthonormality before use. Each
-graph keeps its spectra and, once an eigensystem of a kind is asked for,
-that kind's eigenvectors.
-"""
+Laplacian D^{-1}(D - A), decomposed through its symmetric form
+D^{-1/2}(D - A)D^{-1/2}, which has the same eigenvalues. Every
+decomposition is a checked LAPACK ``eigh``. A graph keeps its spectra
+and the eigenvectors of each kind whose eigensystem was asked for."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +29,6 @@ class Spectrum:
     """Eigenvalues in the kind's convention order with their Gershgorin support.
 
     Adjacency spectra are descending; both Laplacian spectra ascending.
-    ``support_length`` is ``support[1] - support[0]``, computed on access.
     """
 
     kind: RepresentationKind
@@ -51,19 +43,6 @@ class Spectrum:
     def support_length(self) -> float:
         return self.support[1] - self.support[0]
 
-    @cached_property
-    def _normalized_gaps(self) -> np.ndarray:
-        """The read-only normalised eigengaps; see :func:`normalized_eigengaps`."""
-        if self.n < 2:
-            raise ValueError("eigengaps need at least two eigenvalues")
-        gaps = np.abs(np.diff(self.values))  # sorted, up or down: |diff| is each gap
-        if self.support_length == 0.0:
-            gaps[:] = 0.0
-        else:
-            gaps /= self.support_length
-        gaps.setflags(write=False)
-        return gaps
-
 
 def build_matrix(g: Graph, kind: RepresentationKind) -> np.ndarray:
     """The requested representation matrix as a new n x n array, exactly symmetric.
@@ -77,11 +56,12 @@ def build_matrix(g: Graph, kind: RepresentationKind) -> np.ndarray:
     m = np.zeros((g.n, g.n))
     u, v = g.edges.T
     w, d = g.edge_weights, g.degrees
-    if kind is RepresentationKind.ADJACENCY:
+    if kind in (RepresentationKind.ADJACENCY, RepresentationKind.LAPLACIAN):
         m[u, v] = m[v, u] = w
-    elif kind is RepresentationKind.LAPLACIAN:
-        m[u, v] = m[v, u] = -w
-        np.fill_diagonal(m, d)
+        if kind is RepresentationKind.LAPLACIAN:
+            # 0.0 - m, not -m: a zero stays +0.0, where negation would make it -0.0.
+            np.subtract(0.0, m, out=m)
+            np.fill_diagonal(m, d)
     elif kind is RepresentationKind.NORMALIZED_LAPLACIAN:
         if degree_summary(g).d_min == 0.0:  # degrees sum positive weights: exactly 0 when isolated
             raise UndefinedRepresentationError(
@@ -218,11 +198,17 @@ def _solve(g: Graph, kind: RepresentationKind) -> tuple[Spectrum, np.ndarray]:
 
 
 def normalized_eigengaps(s: Spectrum) -> np.ndarray:
-    """Consecutive eigenvalue gaps divided by the spectral support length.
+    """Consecutive eigenvalue gaps divided by the spectral support length, as a new array.
 
     All entries are non-negative under the spectrum's ordering convention.
     A zero-length support (edgeless graph) means a one-point spectrum, so
-    the gaps are zero. Computed once per spectrum, which is immutable: every
-    call returns the same read-only array.
+    the gaps are zero.
     """
-    return s._normalized_gaps
+    if s.n < 2:
+        raise ValueError("eigengaps need at least two eigenvalues")
+    gaps = np.abs(np.diff(s.values))  # sorted, up or down: |diff| is each gap
+    if s.support_length == 0.0:
+        gaps[:] = 0.0
+    else:
+        gaps /= s.support_length
+    return gaps

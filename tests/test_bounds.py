@@ -47,6 +47,7 @@ from graphspectra import (
 )
 from graphspectra import bounds, spectra
 from graphspectra.bounds import DEFAULT_MERGE_TOL, barycentric_eval
+from graphspectra.cli import bound_table_cell
 from graphspectra.data import karate_graph
 from graphspectra.graphs import DegreeSummary
 from graphspectra.spectra import Spectrum
@@ -306,12 +307,6 @@ class TestPairBoundsClosedForms:
     exactly on Fractions, with the None pattern and the primed bounds of the
     paper, and is invariant under scaling the extremes by a power of two."""
 
-    def test_shared_and_read_only(self):
-        ds = summary(1, 17)
-        assert pair_bounds(ds) is pair_bounds(ds)
-        with pytest.raises(TypeError):
-            pair_bounds(ds)[AL] = None
-
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(_FLOAT_DEGREES, min_size=2, max_size=2))
     @example([0.0, 0.0])
@@ -320,7 +315,7 @@ class TestPairBoundsClosedForms:
     @example([0.1, 0.5])  # d_max = 5 d_min as floats: e' = e(A,Lrw)
     def test_float_extremes(self, extremes):
         d_min, d_max = sorted(extremes)
-        got = _as_tuples(bounds._pair_bounds(DegreeSummary(d_min, d_max)))
+        got = _as_tuples(pair_bounds(DegreeSummary(d_min, d_max)))
         want = _closed_forms(d_min, d_max)
         assert {p: _float_bits(v) for p, v in got.items()} == {p: _float_bits(v) for p, v in want.items()}
         self._assert_shape(got, d_min, d_max)
@@ -331,12 +326,26 @@ class TestPairBoundsClosedForms:
     @example([Fraction(5, 7), Fraction(12, 7)])
     def test_fraction_extremes(self, extremes):
         d_min, d_max = sorted(extremes)
-        got = _as_tuples(bounds._pair_bounds(DegreeSummary(d_min, d_max)))
+        got = _as_tuples(pair_bounds(DegreeSummary(d_min, d_max)))
         assert got == _closed_forms(d_min, d_max)
         for values in got.values():  # exact: no value fell back to a float, but the constant e' = 2
             for v in values or ():
                 assert v is None or isinstance(v, Fraction) or v == 2
         self._assert_shape(got, d_min, d_max)
+
+    def test_equal_summaries_keep_their_own_bound_types(self):
+        """Float and Fraction summaries of equal extremes compare and hash alike, so
+        a cache keyed on the summary would hand float bounds to the exact rendering
+        of `bounds` and `table`. Bounds of the float summary, computed first, leave
+        the Fraction summary's bounds exact and the rendered cell unchanged."""
+        floats, exact = DegreeSummary(1.0, 3.0), DegreeSummary(Fraction(1), Fraction(3))
+        assert floats == exact and hash(floats) == hash(exact)
+        for b in pair_bounds(floats).values():
+            assert all(type(v) is float for v in (b.eigenvalue, b.gap, b.primed) if v is not None)
+        for b in pair_bounds(exact).values():
+            assert all(type(v) is Fraction for v in (b.eigenvalue, b.gap, b.primed) if v is not None)
+        assert _as_tuples(pair_bounds(exact)) == _closed_forms(Fraction(1), Fraction(3))
+        assert bound_table_cell(1, 3) == "(1, 1, 1.5)"
 
     @staticmethod
     def _assert_shape(got, d_min, d_max):
@@ -514,8 +523,9 @@ class TestGapDifferences:
 
 
 class TestFactsComputedOnce:
-    """Eigengaps are computed once per spectrum and the pair bounds once per
-    degree summary, however many pairs an analysis checks."""
+    """Eigengaps and pair bounds are evaluated only while a graph's pair
+    records are first built: once per gap record for each of its two
+    spectra, and once per record for the bounds."""
 
     @staticmethod
     def _analyse(g):
@@ -530,24 +540,28 @@ class TestFactsComputedOnce:
         rng = np.random.default_rng(21)
         g, h = random_graph(rng, 32), random_graph(rng, 32)
         assert degree_summary(g).d_min > 0 and degree_summary(h).d_min > 0
-        normalized_gaps = vars(spectra.Spectrum)["_normalized_gaps"]  # the cached property
-        with mock.patch.object(normalized_gaps, "func", wraps=normalized_gaps.func) as gaps, \
-                mock.patch.object(bounds, "_pair_bounds", wraps=bounds._pair_bounds) as pb:
+        with mock.patch.object(bounds, "normalized_eigengaps", wraps=normalized_eigengaps) as gaps, \
+                mock.patch.object(bounds, "pair_bounds", wraps=pair_bounds) as pb:
             self._analyse(g)
-            assert (gaps.call_count, pb.call_count) == (3, 1)
-            self._analyse(g)  # a second analysis of the same graph computes none again
-            assert (gaps.call_count, pb.call_count) == (3, 1)
-            self._analyse(h)  # another graph has its own summary, evaluated once
-            assert (gaps.call_count, pb.call_count) == (6, 2)
+            assert (gaps.call_count, pb.call_count) == (6, 6)
+            self._analyse(g)  # a second analysis of the same graph evaluates neither again
+            assert (gaps.call_count, pb.call_count) == (6, 6)
+            self._analyse(h)  # another graph builds its own records
+            assert (gaps.call_count, pb.call_count) == (12, 12)
 
     def test_memoised_gaps_are_the_computed_ones(self, karate):
-        for kind in RepresentationKind:
-            spec = spectrum(karate, kind)
-            gaps = normalized_eigengaps(spec)
-            assert normalized_eigengaps(spec) is gaps
-            assert gaps.tobytes() == vars(spectra.Spectrum)["_normalized_gaps"].func(spec).tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                gaps[0] = 1.0
+        """Each gap record keeps, read-only, the gaps its two spectra give; each
+        call of normalized_eigengaps computes them anew, into a new array."""
+        for pair in MatrixPair:
+            gd = gap_differences(pair, karate)
+            for kept, kind in zip((gd.source_gaps, gd.target_gaps), bounds.PAIR_KINDS[pair]):
+                spec = spectrum(karate, kind)
+                gaps = normalized_eigengaps(spec)
+                assert gaps is not normalized_eigengaps(spec) and gaps.flags.writeable
+                assert kept.tobytes() == gaps.tobytes()
+                assert gaps.tobytes() == (np.abs(np.diff(spec.values)) / spec.support_length).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[0] = 1.0
 
 
 def _record_bits(record):
@@ -645,7 +659,8 @@ class TestPairRecordMemo:
     def test_hits_survive_rebinding_the_public_functions(self, monkeypatch):
         """A warm graph still hits its memo after its public functions are
         wrapped wherever they are bound, as a tracer wraps them: no solve runs
-        again and every record is the object computed before the wrapping."""
+        again, no bound is evaluated again, and every record is the object
+        computed before the wrapping."""
         g = karate_graph()
         ds = degree_summary(g)
         warm = {(build, pair): build(pair, g) for build in RECORD_BUILDERS for pair in MatrixPair}
@@ -667,11 +682,11 @@ class TestPairRecordMemo:
         with mock.patch.object(spectra, "_solve", wraps=spectra._solve) as solve:
             for (build, pair), record in warm.items():
                 assert getattr(bounds, build.__name__)(pair, g) is record, (build, pair)
-            assert bounds.pair_bounds(ds) is warm_bounds
             for kind in RepresentationKind:
                 bounds.spectrum(g, kind)
         assert solve.call_count == 0
-        assert set(calls) == {"spectrum", "pair_differences", "gap_differences", "pair_bounds"}
+        assert set(calls) == {"spectrum", "pair_differences", "gap_differences"}
+        assert bounds.pair_bounds(ds) == warm_bounds
 
     def test_weyl_check_reads_the_memoised_a_l_record(self):
         g = karate_graph()

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -487,6 +488,43 @@ class TestPublicNamespace:
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             graphspectra.no_such_name  # noqa: B018
         assert not hasattr(graphspectra, "numpy")
+
+
+class TestBenchmarkSurface:
+    """What the benchmark's workloads use of the package stays: every ``gs.<name>``
+    in ``perfbench/workloads.py`` is exported, every ``cli("<subcommand>", ...)``
+    is a subcommand, and the records its self-test perturbs with
+    ``dataclasses.replace`` stay dataclasses. Removing any of them fails the
+    benchmark's ops, so it waits on moving the workloads off them (ROADMAP item 1a)."""
+
+    WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+    def _uses(self):
+        tree = ast.parse(self.WORKLOADS.read_text())
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "gs"}
+        subcommands = {node.args[0].value for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == "cli" and node.args
+                       and isinstance(node.args[0], ast.Constant)}
+        return names, subcommands
+
+    def test_every_used_name_is_exported(self):
+        names, _ = self._uses()
+        assert {"Graph", "weyl_check", "pair_differences", "cluster"} <= names
+        assert names <= set(graphspectra.__all__), sorted(names - set(graphspectra.__all__))
+
+    def test_every_used_subcommand_is_parsed(self):
+        _, used = self._uses()
+        subcommands = next(action for action in cli.build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert {"weyl", "bounds", "cluster"} <= used
+        assert used <= set(subcommands.choices), sorted(used - set(subcommands.choices))
+
+    def test_perturbed_records_stay_dataclasses(self):
+        for name in ("PairDifferences", "WeylReport", "ClusteringResult"):
+            assert dataclasses.is_dataclass(getattr(graphspectra, name)), name
 
 
 class TestReadme:

@@ -604,10 +604,11 @@ class TestEdgeListCore:
         for name in ("edges", "edge_weights", "degrees"):
             a = getattr(g, name)
             assert getattr(g, name) is a and not a.flags.writeable, name
+        spec = spectrum(g, RepresentationKind.LAPLACIAN)
+        assert spectrum(g, RepresentationKind.LAPLACIAN) is spec
+        assert normalized_eigengaps(spec).tobytes() == normalized_eigengaps(spec).tobytes()
         assert all(now is then for now, then in zip((g._edges, g._edge_weights, g._degrees),
                                                      fields))
-        spec = spectrum(g, RepresentationKind.LAPLACIAN)
-        assert normalized_eigengaps(spec) is normalized_eigengaps(spec)
 
     def test_arrays_of_an_array_built_graph_are_not_copied(self):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -947,8 +948,7 @@ class TestRecords:
     def test_fields_refuse_assignment_and_deletion(self):
         g = load_edge_list("nodes 3\n0 1\n")
         for record, name in ((g, "n"), (g, "edges"), (degree_summary(g), "d_min"),
-                             (degree_summary(g), "_memo"), (connected_components(g), "labels"),
-                             (ClassTag(1, 2), "k")):
+                             (connected_components(g), "labels"), (ClassTag(1, 2), "k")):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
             with pytest.raises(AttributeError):
@@ -966,7 +966,7 @@ class TestRecords:
 
     def test_summaries_compare_by_the_extremes_alone(self):
         exact, floats = DegreeSummary(Fraction(1), Fraction(3)), DegreeSummary(1.0, 3.0)
-        floats._memo["pair_bounds"] = None  # the memo is outside equality
+        assert vars(exact).keys() == vars(floats).keys() == {"d_min", "d_max"}
         assert exact == floats and hash(exact) == hash(floats)
         assert DegreeSummary(1.0, 3.0) != DegreeSummary(1.0, 4.0)
         assert DegreeSummary(1, 3) != ClassTag(1, 3) and DegreeSummary(1, 3) != (1, 3)

@@ -209,13 +209,14 @@ class TestBuildMatrix:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_one_dense_array_at_the_peak(self, kind):
         """The matrix is the only n x n array made: on a graph of mean degree
-        20 the peak stays within a quarter of 8 n^2 bytes above the matrix.
-        On K200, whose edges fill half the matrix, the per-edge temporaries
-        of L_sym stay within 1.5 times 8 n^2 bytes (2.01 when each step
-        allocated its own). The edge arrays are the graph's, made on first
-        access and kept."""
+        20 the peak stays within a quarter of 8 n^2 bytes above the matrix,
+        and so do A and L on K200, whose edges fill half the matrix (L peaked
+        at 1.51 when it was written from a -w copy of the weights). The
+        per-edge temporaries of L_sym on K200 stay within 1.5 times 8 n^2
+        bytes (2.01 when each step allocated its own). The edge arrays are
+        the graph's, made on first access and kept."""
         n = 200
-        for density, bound in ((0.1, 1.25), (1.0, 2.5)):
+        for density, bound in ((0.1, 1.25), (1.0, 2.5 if kind is LRW else 1.25)):
             rng = np.random.default_rng(11)
             g = load_edge_list(f"nodes {n}\n" + "".join(
                 f"{i} {j} {rng.uniform(0.1, 1.0)!r}\n"
@@ -231,11 +232,12 @@ class TestBuildMatrix:
             ratio = peak / (8 * n * n)
             assert ratio <= bound, f"density {density}: peak {ratio:.2f} x 8 n^2 bytes"
 
-    @pytest.mark.parametrize("kind, bound", [(A, 2.75), (L, 3.25)])
+    @pytest.mark.parametrize("kind, bound", [(A, 2.75), (L, 2.75)])
     def test_first_build_of_a_loaded_graph(self, kind, bound):
         """The first matrix of a loaded K200 also makes its edge arrays: the
         pairs go to an array in one flat pass, 16 bytes an edge, so the A peak
-        is 2.51 and the L peak 3.01 times 8 n^2 bytes (3.99 for both when the
+        is 2.51 and the L peak 2.52 times 8 n^2 bytes (3.01 for L when it was
+        written from a -w copy of the weights, and 3.99 for both when the
         array was made from the pair tuples, 48 bytes an edge)."""
         n = 200
         g = load_edge_list(f"nodes {n}\n" + "".join(
